@@ -5,41 +5,7 @@
  * one experiment, and print a complete statistics report including the
  * latency distribution.
  *
- * Usage: simulate [config=<file>] [key=value ...] [--key value ...]
- *   e.g. simulate config=examples/configs/hotspot.cfg routing=dbar
- *        simulate traffic=shuffle injection_rate=0.42 num_vcs=8
- *
- * Telemetry flags (sugar over the telemetry_* config keys):
- *   --telemetry-out FILE    per-interval time series (CSV by default)
- *   --telemetry-format FMT  csv | jsonl
- *   --sample-interval N     cycles between samples (default 100)
- *   --trace-packets N       JSONL lifecycle trace of packets 1..N
- *   --trace-out FILE        trace path (default trace.jsonl)
- *
- * Observability flags (take no value; see DESIGN.md):
- *   --audit                 periodic invariant audits + watchdog
- *   --dump-on-abort         forensic state dump on abort/violation
- *   --chrome-trace          chrome://tracing timeline (trace.json)
- *   --profile               per-phase wall-time self-profile
- *                           (profile.json, footprint.profile/1)
- *   --heatmap               windowed spatial heatmaps (heatmap.json,
- *                           footprint.heatmap/1; render with
- *                           tools/render_heatmap.py)
- *   --timeseries            windowed flight-recorder JSONL stream
- *                           (timeseries.jsonl, footprint.timeseries/1;
- *                           render with tools/render_timeseries.py)
- *   --console               live rate-limited status line on stderr
- *
- * Steady state (DESIGN.md §15): the flight recorder's online detector
- * reports the convergence cycle and flags measurement windows that
- * opened too early; warmup=auto ends warmup at convergence (capped by
- * warmup_max_cycles).
- *
- * Sweep mode (rate ladder instead of a single run; see DESIGN.md §11):
- *   --sweep RATES           offered rates, "0.05,0.1,0.2" or lo:hi:n
- *   --jobs N                worker threads (default: all hardware
- *                           threads); results are identical for any N
- *   --bench-out FILE        write a footprint.bench/1 JSON artifact
+ * `simulate --help` (or -h) prints the usage text, kUsage below.
  */
 
 #include <cstdio>
@@ -55,6 +21,44 @@
 #include "sim/log.hpp"
 
 namespace {
+
+/** Usage text printed by --help / -h. */
+constexpr const char* kUsage = R"(Usage: simulate [config=<file>] [key=value ...] [--key value ...]
+  e.g. simulate config=examples/configs/hotspot.cfg routing=dbar
+       simulate traffic=shuffle injection_rate=0.42 num_vcs=8
+
+Telemetry flags (sugar over the telemetry_* config keys):
+  --telemetry-out FILE    per-interval time series (CSV by default)
+  --telemetry-format FMT  csv | jsonl
+  --sample-interval N     cycles between samples (default 100)
+  --trace-packets N       JSONL lifecycle trace of packets 1..N
+  --trace-out FILE        trace path (default trace.jsonl)
+
+Observability flags (take no value; see DESIGN.md):
+  --audit                 periodic invariant audits + watchdog
+  --dump-on-abort         forensic state dump on abort/violation
+  --chrome-trace          chrome://tracing timeline (trace.json)
+  --profile               per-phase wall-time self-profile
+                          (profile.json, footprint.profile/1)
+  --heatmap               windowed spatial heatmaps (heatmap.json,
+                          footprint.heatmap/1; render with
+                          tools/render_heatmap.py)
+  --timeseries            windowed flight-recorder JSONL stream
+                          (timeseries.jsonl, footprint.timeseries/1;
+                          render with tools/render_timeseries.py)
+  --console               live rate-limited status line on stderr
+
+Steady state (DESIGN.md §15): the flight recorder's online detector
+reports the convergence cycle and flags measurement windows that
+opened too early; warmup=auto ends warmup at convergence (capped by
+warmup_max_cycles).
+
+Sweep mode (rate ladder instead of a single run; see DESIGN.md §11):
+  --sweep RATES           offered rates, "0.05,0.1,0.2" or lo:hi:n
+  --jobs N                worker threads (default: all hardware
+                          threads); results are identical for any N
+  --bench-out FILE        write a footprint.bench/1 JSON artifact
+)";
 
 /** Map "--some-flag" to its config key, e.g. "some_flag". */
 std::string
@@ -159,6 +163,15 @@ main(int argc, char** argv)
     cfg.setInt("sweep_seeds", 1);
     cfg.setInt("jobs", 0); // 0 = all hardware threads
     cfg.set("bench_out", "");
+    // Help wins over everything else on the command line: it must not
+    // be read as a "--key value" flag or run a simulation.
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg(argv[i]);
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(kUsage, stdout);
+            return 0;
+        }
+    }
     // A config= argument loads a file first; later key=value overrides
     // win, matching BookSim's "config file then overrides" convention.
     // "--key value" flags are equivalent to "key=value" with dashes
@@ -224,19 +237,18 @@ main(int argc, char** argv)
                 "max %.0f  stddev %.2f\n",
                 stats.latency.mean(), stats.latency.min(),
                 stats.latency.max(), stats.latency.stddev());
-    std::printf("latency percentiles      : p50 %.0f  p90 %.0f  "
-                "p99 %.0f\n",
-                stats.latencyHist.percentile(0.50),
-                stats.latencyHist.percentile(0.90),
-                stats.latencyHist.percentile(0.99));
-    std::printf("latency tail (hdr)       : p99 %llu  p999 %llu  "
-                "max %llu\n",
+    // Every percentile comes from the one HDR histogram: mixing in the
+    // 5-cycle linear one could print a p90 above the p99.
+    std::printf("latency percentiles      : p50 %llu  p90 %llu  "
+                "p99 %llu  p999 %llu\n",
+                static_cast<unsigned long long>(
+                    stats.latencyHdr.percentile(0.50)),
+                static_cast<unsigned long long>(
+                    stats.latencyHdr.percentile(0.90)),
                 static_cast<unsigned long long>(
                     stats.latencyHdr.percentile(0.99)),
                 static_cast<unsigned long long>(
-                    stats.latencyHdr.percentile(0.999)),
-                static_cast<unsigned long long>(
-                    stats.latencyHdr.max()));
+                    stats.latencyHdr.percentile(0.999)));
     std::printf("hops                     : avg %.2f  max %.0f\n",
                 stats.hops.mean(), stats.hops.max());
     if (stats.hotspotLatency.count() > 0) {

@@ -39,7 +39,9 @@ Router::Router(const Topology& topo, int node,
         static_cast<std::size_t>(kNumPorts * params.numVcs);
     outCredits_.assign(total_vcs,
                        static_cast<std::int16_t>(params.vcBufSize));
-    outOwner_.assign(total_vcs, -1);
+    ownerStride_ = (params.numVcs + 7) / 8 * 8;
+    outOwner_.assign(static_cast<std::size_t>(kNumPorts * ownerStride_),
+                     -1);
     outFullCredit_.fill(vcAll_);
     if (params.vcBufSize == 0)
         outZeroCredit_.fill(vcAll_);
@@ -275,12 +277,12 @@ Router::runVcAllocation()
             const OutputSet& set =
                 in.requests[static_cast<std::size_t>(v)];
             const int port = set.requests().front().port;
-            const VcMask occ_mask = occupiedVcMask(port);
+            const VcMask occ_mask = occupiedMaskOf(port);
             const int occ = popcount(occ_mask);
             if (occ > 0) {
                 // Purity counts footprint VCs among *busy* VCs only.
                 const int fp = popcount(
-                    footprintVcMask(port, ivc.front().dest) & occ_mask);
+                    footprintMaskOf(port, ivc.front().dest) & occ_mask);
                 counters_.puritySum += static_cast<double>(fp)
                     / static_cast<double>(occ);
                 ++counters_.puritySamples;
@@ -428,18 +430,7 @@ Router::idleVcMask(int port) const
 VcMask
 Router::footprintVcMask(int port, int dest) const
 {
-    // Owner registers persist after a VC drains (they are only
-    // overwritten on reallocation, as the Sec. 4.4 hardware does), so a
-    // freshly drained VC remains a footprint VC for its destination
-    // until another packet claims it. Contiguous int16 compare over
-    // the port's slice of the owner lane; vectorisable.
-    const std::int16_t* owner = outOwner_.data()
-        + static_cast<std::size_t>(port * params_.numVcs);
-    const auto d = static_cast<std::int16_t>(dest);
-    VcMask m = 0;
-    for (int v = 0; v < params_.numVcs; ++v)
-        m |= static_cast<VcMask>(owner[v] == d) << v;
-    return m;
+    return footprintMaskOf(port, dest);
 }
 
 VcMask
@@ -487,7 +478,7 @@ int
 Router::outVcOwner(int port, int vc) const
 {
     return ((occupiedMaskOf(port) >> vc) & VcMask{1})
-        ? outOwner_[ovIdx(port, vc)]
+        ? outOwner_[ownerIdx(port, vc)]
         : -1;
 }
 

@@ -22,6 +22,10 @@
 #include "sim/rng.hpp"
 #include "topo/topology.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace footprint {
 
 class PacketTracer;
@@ -39,6 +43,45 @@ class StatusProvider
     /** Idle-VC count of @p port at @p node as of the previous cycle. */
     virtual int idleCount(int node, int port) const = 0;
 };
+
+/**
+ * Owner-register compare: bit v is set where owner[v] == dest, for
+ * v < numVcs. Router::footprintMaskOf uses this scalar walk only where
+ * SSE2 is absent, which no x86-64 build is, so the tests call it
+ * directly to keep the fallback checked.
+ */
+inline VcMask
+ownerMatchMaskScalar(const std::int16_t* owner, int numVcs,
+                     std::int16_t dest)
+{
+    VcMask m = 0;
+    for (int v = 0; v < numVcs; ++v)
+        m |= static_cast<VcMask>(owner[v] == dest) << v;
+    return m;
+}
+
+#if defined(__SSE2__)
+/**
+ * The same compare, 8 owners per SSE2 step, over a lane of @p stride
+ * owners (a multiple of 8). Every lane slot is compared, padding
+ * included; the caller masks the result to its real VCs.
+ */
+inline VcMask
+ownerMatchMask8(const std::int16_t* owner, int stride, std::int16_t dest)
+{
+    const __m128i key = _mm_set1_epi16(dest);
+    VcMask m = 0;
+    for (int v = 0; v < stride; v += 8) {
+        const __m128i eq = _mm_cmpeq_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(owner + v)),
+            key);
+        const auto bits = static_cast<unsigned>(_mm_movemask_epi8(
+            _mm_packs_epi16(eq, _mm_setzero_si128())));
+        m |= static_cast<VcMask>(bits) << v;
+    }
+    return m;
+}
+#endif
 
 /** Router microarchitecture parameters (Table 2). */
 struct RouterParams
@@ -63,10 +106,11 @@ struct RouterParams
  * incrementally on every state transition, plus flat credit and
  * owner-destination lanes. The RouterView mask queries adaptive
  * routing hammers every cycle (idle / occupied / zero-credit /
- * footprint) reduce to one or two bitwise ops or a short contiguous
- * scan instead of per-VC object walks, and a saturated compute phase
- * performs zero heap allocations: all VA/SA scratch lives in
- * fixed-capacity flat tables sized once at construction.
+ * footprint) reduce to one or two bitwise ops or an 8-lane vector
+ * compare (DESIGN.md §19) instead of per-VC object walks, and a
+ * saturated compute phase performs zero heap allocations: all VA/SA
+ * scratch lives in fixed-capacity flat tables sized once at
+ * construction.
  */
 class Router : public RouterView
 {
@@ -286,6 +330,13 @@ class Router : public RouterView
         return static_cast<std::size_t>(port * params_.numVcs + vc);
     }
 
+    /** Owner-lane index: each port's lane is ownerStride_ long. */
+    std::size_t
+    ownerIdx(int port, int vc) const
+    {
+        return static_cast<std::size_t>(port * ownerStride_ + vc);
+    }
+
     void
     ovAllocate(int port, int vc, int dest)
     {
@@ -293,7 +344,7 @@ class Router : public RouterView
                     & VcMask{1}),
                   "allocating a busy output VC");
         outBusy_[static_cast<std::size_t>(port)] |= VcMask{1} << vc;
-        outOwner_[ovIdx(port, vc)] = static_cast<std::int16_t>(dest);
+        outOwner_[ownerIdx(port, vc)] = static_cast<std::int16_t>(dest);
     }
 
     void
@@ -347,6 +398,28 @@ class Router : public RouterView
         return outBusy_[p] | (vcAll_ & ~outFullCredit_[p]);
     }
 
+    /**
+     * VCs on @p port whose owner register holds @p dest. Owner
+     * registers persist after a VC drains (they are only overwritten
+     * on reallocation, as the Sec. 4.4 hardware does), so a freshly
+     * drained VC remains a footprint VC for its destination until
+     * another packet claims it. Each port's owner lane is padded to a
+     * multiple of 8 with -1, so SSE2 compares 8 owners per step.
+     */
+    VcMask
+    footprintMaskOf(int port, int dest) const
+    {
+        const std::int16_t* owner =
+            outOwner_.data() + ownerIdx(port, 0);
+        const auto d = static_cast<std::int16_t>(dest);
+#if defined(__SSE2__)
+        // The padding owners (-1) match a dest of -1.
+        return ownerMatchMask8(owner, ownerStride_, d) & vcAll_;
+#else
+        return ownerMatchMaskScalar(owner, params_.numVcs, d);
+#endif
+    }
+
     /** Which VCs a new packet may claim (VC-reallocation policy). */
     VcMask
     allocatableMaskOf(int port, bool atomic) const
@@ -369,8 +442,10 @@ class Router : public RouterView
     std::int64_t cycle_ = 0;
 
     VcMask vcAll_ = 0;  ///< maskOfFirst(numVcs)
+    int ownerStride_ = 0;  ///< numVcs rounded up to a multiple of 8
 
-    // Output-VC SoA lanes (kNumPorts * numVcs, port-major).
+    // Output-VC SoA lanes, port-major: credits are kNumPorts * numVcs,
+    // owners kNumPorts * ownerStride_ (padding slots hold -1).
     std::array<VcMask, kNumPorts> outBusy_{};
     std::array<VcMask, kNumPorts> outZeroCredit_{};
     std::array<VcMask, kNumPorts> outFullCredit_{};

@@ -11,7 +11,7 @@ DbarRouting::continuationDir(const Mesh& mesh, int node, Dir d, int dest)
     const int nbr = mesh.neighbor(node, d);
     if (nbr == dest)
         return Dir::Local;
-    Dir dirs[2];
+    Dir dirs[2] = {Dir::Local, Dir::Local};
     const int n = mesh.minimalDirsInto(nbr, dest, dirs);
     // Prefer staying in the same dimension — that is the link whose
     // occupancy DBAR's dimension-aware status network reports.

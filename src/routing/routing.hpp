@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -30,7 +31,7 @@ class Rng;
 class SimConfig;
 
 /** Request priorities used by Algorithm 1. Larger value wins. */
-enum class Priority : int {
+enum class Priority : std::int8_t {
     Lowest = 0,   ///< escape-channel requests
     Low = 1,      ///< ordinary adaptive / busy-VC requests
     High = 2,     ///< footprint-VC requests
@@ -43,10 +44,12 @@ enum class Priority : int {
 /** One prioritized VC request: a set of VCs on one output port. */
 struct VcRequest
 {
-    int port = -1;
     VcMask vcs = 0;
+    std::int8_t port = -1;
     Priority priority = Priority::Low;
 };
+static_assert(sizeof(VcRequest) == 16,
+              "request sets are rebuilt per waiting VC per cycle");
 
 /**
  * The set of VC requests produced by one routing invocation. The VC
@@ -54,16 +57,18 @@ struct VcRequest
  *
  * Storage is a fixed inline array: one invocation adds at most a
  * handful of requests (Footprint's Algorithm 1 peaks at one escape
- * plus a few prioritized adaptive entries), so kMaxRequests bounds
- * every algorithm with room to spare and add() never touches the
- * heap. This keeps the per-(input, VC) request tables the router
- * holds allocation-free in steady state (DESIGN.md §17).
+ * plus four prioritized adaptive entries), so kMaxRequests bounds
+ * every algorithm and add() never touches the heap. This keeps the
+ * per-(input, VC) request tables the router holds allocation-free in
+ * steady state (DESIGN.md §17). The count sits in front of the
+ * 16-byte requests, so a set is 136 bytes and its first requests share
+ * a cache line with the count (DESIGN.md §19).
  */
 class OutputSet
 {
   public:
     /** Upper bound on requests per routing invocation. */
-    static constexpr std::size_t kMaxRequests = 16;
+    static constexpr std::size_t kMaxRequests = 8;
 
     void clear() { count_ = 0; }
 
@@ -74,7 +79,8 @@ class OutputSet
         if (vcs != 0) {
             FP_ASSERT(count_ < kMaxRequests,
                       "routing invocation exceeded OutputSet capacity");
-            requests_[count_++] = VcRequest{port, vcs, priority};
+            requests_[count_++] =
+                VcRequest{vcs, static_cast<std::int8_t>(port), priority};
         }
     }
 
@@ -102,8 +108,8 @@ class OutputSet
     }
 
   private:
-    std::array<VcRequest, kMaxRequests> requests_{};
     std::size_t count_ = 0;
+    std::array<VcRequest, kMaxRequests> requests_{};
 };
 
 /**

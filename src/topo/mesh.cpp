@@ -46,6 +46,11 @@ Mesh::Mesh(int width, int height) : width_(width), height_(height)
     // fewer than two nodes has no links to route over.
     if (width < 1 || height < 1 || width * height < 2)
         fatal("mesh must have at least 2 nodes");
+    coords_.reserve(static_cast<std::size_t>(width * height));
+    for (int y = 0; y < height; ++y) {
+        for (int x = 0; x < width; ++x)
+            coords_.push_back(Coord{x, y});
+    }
 }
 
 int
@@ -56,41 +61,16 @@ Mesh::nodeId(Coord c) const
     return c.y * width_ + c.x;
 }
 
-Coord
-Mesh::coordOf(int node) const
+void
+Mesh::nodeOutOfMesh(int node)
 {
-    FP_ASSERT(node >= 0 && node < numNodes(), "node id out of mesh");
-    return Coord{node % width_, node / width_};
+    FP_PANIC("node id out of mesh: " + std::to_string(node));
 }
 
-bool
-Mesh::hasNeighbor(int node, Dir d) const
+void
+Mesh::noNeighbor(Dir d)
 {
-    const Coord c = coordOf(node);
-    switch (d) {
-      case Dir::East: return c.x + 1 < width_;
-      case Dir::West: return c.x > 0;
-      case Dir::North: return c.y + 1 < height_;
-      case Dir::South: return c.y > 0;
-      case Dir::Local: return false;
-    }
-    return false;
-}
-
-int
-Mesh::neighbor(int node, Dir d) const
-{
-    FP_ASSERT(hasNeighbor(node, d),
-              "no neighbor in direction " << dirName(d));
-    Coord c = coordOf(node);
-    switch (d) {
-      case Dir::East: ++c.x; break;
-      case Dir::West: --c.x; break;
-      case Dir::North: ++c.y; break;
-      case Dir::South: --c.y; break;
-      case Dir::Local: break;
-    }
-    return nodeId(c);
+    FP_PANIC("no neighbor in direction " + dirName(d));
 }
 
 int
@@ -107,23 +87,6 @@ Mesh::minimalDirs(int cur, int dest) const
     Dir buf[2];
     const int n = minimalDirsInto(cur, dest, buf);
     return std::vector<Dir>(buf, buf + n);
-}
-
-int
-Mesh::minimalDirsInto(int cur, int dest, Dir out[2]) const
-{
-    const Coord cc = coordOf(cur);
-    const Coord cd = coordOf(dest);
-    int n = 0;
-    if (cd.x > cc.x)
-        out[n++] = Dir::East;
-    else if (cd.x < cc.x)
-        out[n++] = Dir::West;
-    if (cd.y > cc.y)
-        out[n++] = Dir::North;
-    else if (cd.y < cc.y)
-        out[n++] = Dir::South;
-    return n;
 }
 
 double

@@ -8,6 +8,7 @@
 #define FOOTPRINT_TOPO_MESH_HPP
 
 #include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,10 @@ struct Coord
  *
  * Node ids are row-major: id = y * width + x, matching the node
  * numbering in the paper's figures (n0 .. n15 for a 4x4 mesh).
+ *
+ * The coordinate of every node is tabulated once at construction, so
+ * the per-cycle routing queries (coordOf, minimalDirsInto, neighbor)
+ * are inline table reads with no integer division (DESIGN.md §19).
  */
 class Mesh
 {
@@ -69,15 +74,47 @@ class Mesh
     /** @return the node id at @p c. */
     int nodeId(Coord c) const;
 
-    /** @return the coordinate of @p node. */
-    Coord coordOf(int node) const;
+    /** @return the coordinate of @p node; panics outside the mesh. */
+    Coord
+    coordOf(int node) const
+    {
+        if (static_cast<unsigned>(node)
+            >= static_cast<unsigned>(coords_.size())) [[unlikely]]
+            nodeOutOfMesh(node);
+        return coords_[static_cast<std::size_t>(node)];
+    }
 
     /** @return true if moving from @p node in direction @p d stays
      * inside the mesh. */
-    bool hasNeighbor(int node, Dir d) const;
+    bool
+    hasNeighbor(int node, Dir d) const
+    {
+        const Coord c = coordOf(node);
+        switch (d) {
+          case Dir::East: return c.x + 1 < width_;
+          case Dir::West: return c.x > 0;
+          case Dir::North: return c.y + 1 < height_;
+          case Dir::South: return c.y > 0;
+          case Dir::Local: break;
+        }
+        return false;
+    }
 
     /** @return the neighboring node id (requires hasNeighbor). */
-    int neighbor(int node, Dir d) const;
+    int
+    neighbor(int node, Dir d) const
+    {
+        if (!hasNeighbor(node, d)) [[unlikely]]
+            noNeighbor(d);
+        switch (d) {
+          case Dir::East: return node + 1;
+          case Dir::West: return node - 1;
+          case Dir::North: return node + width_;
+          case Dir::South: return node - width_;
+          case Dir::Local: break;
+        }
+        return node;
+    }
 
     /** @return minimal hop count between two nodes (Manhattan). */
     int hopDistance(int a, int b) const;
@@ -92,7 +129,22 @@ class Mesh
      * Allocation-free variant of minimalDirs for the router critical
      * path: fills @p out and returns the direction count (0..2).
      */
-    int minimalDirsInto(int cur, int dest, Dir out[2]) const;
+    int
+    minimalDirsInto(int cur, int dest, Dir out[2]) const
+    {
+        const Coord cc = coordOf(cur);
+        const Coord cd = coordOf(dest);
+        int n = 0;
+        if (cd.x > cc.x)
+            out[n++] = Dir::East;
+        else if (cd.x < cc.x)
+            out[n++] = Dir::West;
+        if (cd.y > cc.y)
+            out[n++] = Dir::North;
+        else if (cd.y < cc.y)
+            out[n++] = Dir::South;
+        return n;
+    }
 
     /**
      * Number of distinct minimal paths between two nodes,
@@ -101,8 +153,12 @@ class Mesh
     double numMinimalPaths(int a, int b) const;
 
   private:
+    [[noreturn]] static void nodeOutOfMesh(int node);
+    [[noreturn]] static void noNeighbor(Dir d);
+
     int width_;
     int height_;
+    std::vector<Coord> coords_;  ///< coords_[id] = (id % w, id / w)
 };
 
 } // namespace footprint

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "expect_panic.hpp"
 #include "topo/mesh.hpp"
 
 namespace footprint {
@@ -49,6 +53,56 @@ TEST(Mesh, RowMajorNumberingMatchesPaperFigures)
     EXPECT_EQ(mesh.coordOf(13), (Coord{1, 3}));
     EXPECT_EQ(mesh.coordOf(15), (Coord{3, 3}));
     EXPECT_EQ(mesh.nodeId(Coord{0, 0}), 0);
+}
+
+TEST(Mesh, CoordinateTableMatchesDivMod)
+{
+    // The coordinate table and everything read from it (neighbor,
+    // minimalDirsInto) must equal the row-major div/mod definition on
+    // non-square and one-dimensional grids too.
+    for (const auto& [w, h] :
+         {std::pair{5, 3}, std::pair{3, 5}, std::pair{1, 7},
+          std::pair{7, 1}, std::pair{2, 2}}) {
+        const Mesh mesh(w, h);
+        for (int n = 0; n < mesh.numNodes(); ++n) {
+            const Coord c{n % w, n / w};
+            EXPECT_EQ(mesh.coordOf(n), c) << w << "x" << h << " n" << n;
+            EXPECT_EQ(mesh.hasNeighbor(n, Dir::East), c.x + 1 < w);
+            EXPECT_EQ(mesh.hasNeighbor(n, Dir::West), c.x > 0);
+            EXPECT_EQ(mesh.hasNeighbor(n, Dir::North), c.y + 1 < h);
+            EXPECT_EQ(mesh.hasNeighbor(n, Dir::South), c.y > 0);
+            EXPECT_FALSE(mesh.hasNeighbor(n, Dir::Local));
+            if (c.x + 1 < w) {
+                EXPECT_EQ(mesh.neighbor(n, Dir::East), n + 1);
+            }
+            if (c.y > 0) {
+                EXPECT_EQ(mesh.neighbor(n, Dir::South), n - w);
+            }
+            for (int d = 0; d < mesh.numNodes(); ++d) {
+                const Coord cd{d % w, d / w};
+                std::vector<Dir> want;
+                if (cd.x != c.x)
+                    want.push_back(cd.x > c.x ? Dir::East : Dir::West);
+                if (cd.y != c.y)
+                    want.push_back(cd.y > c.y ? Dir::North : Dir::South);
+                Dir got[2];
+                const int k = mesh.minimalDirsInto(n, d, got);
+                EXPECT_EQ(std::vector<Dir>(got, got + k), want);
+            }
+        }
+    }
+}
+
+TEST(Mesh, OutOfRangeNodeStillPanics)
+{
+    const Mesh mesh(5, 3);
+    EXPECT_PANIC(mesh.coordOf(-1), "node id out of mesh");
+    EXPECT_PANIC(mesh.coordOf(15), "node id out of mesh");
+    Dir dirs[2];
+    EXPECT_PANIC(mesh.minimalDirsInto(0, 15, dirs),
+                 "node id out of mesh");
+    EXPECT_PANIC(mesh.neighbor(4, Dir::East), "no neighbor");
+    EXPECT_PANIC(mesh.neighbor(0, Dir::Local), "no neighbor");
 }
 
 TEST(Mesh, RectangularMesh)

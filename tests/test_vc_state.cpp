@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "expect_panic.hpp"
 #include "router/vc_state.hpp"
 
@@ -26,6 +29,27 @@ TEST(VcMaskHelpers, Popcount)
     EXPECT_EQ(popcount(0), 0);
     EXPECT_EQ(popcount(0b1011), 3);
     EXPECT_EQ(popcount(~VcMask{0}), 64);
+}
+
+TEST(VcMaskHelpers, PopcountMatchesStdPopcountOnEdgeMasks)
+{
+    static_assert(popcount(~VcMask{0}) == 64, "usable in constexpr");
+    std::vector<VcMask> masks = {
+        0x5555555555555555ULL, 0xAAAAAAAAAAAAAAAAULL,
+        0x8000000000000001ULL, 0x0F0F0F0F0F0F0F0FULL,
+        0xF0F0F0F0F0F0F0F0ULL, 0x00000000FFFFFFFFULL,
+        0xFFFFFFFF00000000ULL, 0x0123456789ABCDEFULL,
+    };
+    for (int n = 0; n <= 64; ++n) {
+        masks.push_back(maskOfFirst(n));
+        masks.push_back(~maskOfFirst(n));
+        if (n < 64) {
+            masks.push_back(VcMask{1} << n);
+            masks.push_back(~(VcMask{1} << n));
+        }
+    }
+    for (const VcMask m : masks)
+        EXPECT_EQ(popcount(m), std::popcount(m)) << std::hex << m;
 }
 
 TEST(OutVcState, FreshStateIsIdle)
