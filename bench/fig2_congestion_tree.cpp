@@ -90,8 +90,11 @@ runScenario(const std::string& label, const std::string& algo,
     // Formation time of the hotspot's congestion tree, read off the
     // sampled footprint-lane series of the hotspot router: the first
     // sample at which the lane count reached its steady value.
-    const std::string fp_chan =
-        "r" + std::to_string(kHotspot) + ".fp_occ";
+    // The hotspot router's channel prefix, built by appending: gcc 12
+    // reports a false -Wrestrict on `"r" + std::to_string(...) + ...`.
+    std::string hot = "r";
+    hot += std::to_string(kHotspot);
+    const std::string fp_chan = hot + ".fp_occ";
     const auto& series = hub.series(fp_chan);
     std::int64_t formed = -1;
     if (!series.empty()) {
@@ -111,9 +114,7 @@ runScenario(const std::string& label, const std::string& algo,
                 hotspot.totalVcs(), hotspot.avgThickness(),
                 hotspot.maxThickness(), all_flows_vcs,
                 static_cast<long long>(formed),
-                hub.meanInPhase(
-                    "r" + std::to_string(kHotspot) + ".vc_occ",
-                    "measure"));
+                hub.meanInPhase(hot + ".vc_occ", "measure"));
 }
 
 } // namespace

@@ -237,8 +237,7 @@ main(int argc, char** argv)
                 "max %.0f  stddev %.2f\n",
                 stats.latency.mean(), stats.latency.min(),
                 stats.latency.max(), stats.latency.stddev());
-    // Every percentile comes from the one HDR histogram: mixing in the
-    // 5-cycle linear one could print a p90 above the p99.
+    // Every percentile comes from the run's one latency histogram.
     std::printf("latency percentiles      : p50 %llu  p90 %llu  "
                 "p99 %llu  p999 %llu\n",
                 static_cast<unsigned long long>(

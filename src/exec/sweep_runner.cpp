@@ -285,8 +285,8 @@ SweepRunner::run(const SweepSpec& spec)
             // Provisional: the latency criterion is applied once the
             // cell's zero-load probe is known.
             r.point.saturated = stats.saturated;
-            r.p50 = stats.latencyHist.percentile(0.50);
-            r.p99 = stats.latencyHist.percentile(0.99);
+            r.p50 = stats.latencyHdr.percentile(0.50);
+            r.p99 = stats.latencyHdr.percentile(0.99);
             r.hops = stats.hops.mean();
             r.cycles = stats.cyclesRun;
             r.drained = stats.drained;

@@ -13,6 +13,7 @@
 #include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_metadata.hpp"
+#include "obs/run_observer.hpp"
 #include "obs/state_dump.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeseries.hpp"
@@ -118,52 +119,74 @@ TrafficManager::run()
     // terminals sharing its endpoint.
     const int num_terminals = topo.numTerminals();
 
+    const RunMetadata meta = RunMetadata::fromConfig(cfg_);
+
+    // Observers (DESIGN.md §20): each is built only when its config
+    // key asks for it, and the loop drives them all through one list,
+    // in this order. Only reads of network state happen there, so no
+    // observer can perturb results. The one order that matters: the
+    // watchdog ticks before the recorder, so a window that closes on
+    // a detection cycle counts the detection.
+    std::vector<std::unique_ptr<RunObserver>> owned;
+    std::vector<RunObserver*> observers;
+    auto add = [&]<class T>(std::unique_ptr<T> obs) {
+        T* raw = obs.get();
+        observers.push_back(raw);
+        owned.push_back(std::move(obs));
+        return raw;
+    };
+
     // Telemetry: an externally attached hub wins; otherwise build one
     // from the config's telemetry_* keys when they enable anything.
-    // `hub` stays nullptr on untelemetered runs, so the per-cycle cost
-    // of the subsystem being compiled in is a single null check.
-    std::unique_ptr<TelemetryHub> owned_hub;
     TelemetryHub* hub = externalHub_;
-    if (!hub) {
-        const TelemetryConfig tc = TelemetryHub::configFromSim(cfg_);
-        if (tc.anyEnabled()) {
-            owned_hub = std::make_unique<TelemetryHub>(tc);
-            hub = owned_hub.get();
-        }
+    if (hub) {
+        observers.push_back(hub);
+    } else if (const TelemetryConfig tc = TelemetryHub::configFromSim(cfg_);
+               tc.anyEnabled()) {
+        hub = add(std::make_unique<TelemetryHub>(tc));
+        hub->setRunMetadata(meta);
     }
     if (hub)
         net.attachTelemetry(*hub);
 
-    const RunMetadata meta = RunMetadata::fromConfig(cfg_);
-    if (owned_hub)
-        owned_hub->setRunMetadata(meta);
-
-    // Self-profiler and spatial observatory (DESIGN.md §14). Both stay
-    // null/disabled unless their config key asks for them; the profiler
-    // pointer is the only thing the stepping hot path ever sees, and
-    // the heatmap collector only reads network state from this serial
-    // loop, so neither can perturb results.
-    std::unique_ptr<Profiler> profiler;
+    // The profiler pointer is the only observer the stepping hot path
+    // ever sees; it also times this loop's own phases below.
+    Profiler* prof = nullptr;
     if (cfg_.getBool("profile")) {
-        profiler = std::make_unique<Profiler>();
-        net.attachProfiler(profiler.get());
+        prof = add(std::make_unique<Profiler>());
+        prof->setReport({cfg_.getStr("profile_out"),
+                         cfg_.getStr("traffic") + "/"
+                             + cfg_.getStr("routing"),
+                         cfg_.getStr("step_mode"),
+                         static_cast<int>(cfg_.getInt("threads")), meta});
+        net.attachProfiler(prof);
     }
-    Profiler* const prof = profiler.get();
     const HeatmapConfig hm_cfg = HeatmapConfig::fromSim(cfg_);
-    std::unique_ptr<HeatmapCollector> heatmap;
     if (hm_cfg.enabled)
-        heatmap = std::make_unique<HeatmapCollector>(net, hm_cfg);
+        add(std::make_unique<HeatmapCollector>(net, hm_cfg, &meta));
 
-    // Flight recorder (DESIGN.md §15): streams windowed throughput /
-    // latency / regime records and feeds the steady-state detector.
-    // Built whenever the stream or warmup=auto needs it; like every
-    // other collector it only reads network state from this serial
-    // loop, so determinism is untouched, and when off it costs one
-    // null check per cycle.
+    Watchdog* watchdog = nullptr;
+    if (cfg_.getBool("audit")) {
+        InvariantAuditor::Params ap;
+        ap.interval = cfg_.getInt("audit_interval");
+        add(std::make_unique<InvariantAuditor>(net, ap));
+
+        Watchdog::Params wp;
+        wp.interval = cfg_.getInt("watchdog_interval");
+        wp.maxHops = static_cast<int>(cfg_.getInt("watchdog_max_hops"));
+        wp.maxAge = cfg_.getInt("watchdog_max_age");
+        watchdog = add(std::make_unique<Watchdog>(
+            net, hub ? hub->tracer() : nullptr, wp));
+    }
+
+    // Flight recorder (DESIGN.md §15): built whenever the stream or
+    // warmup=auto needs it.
     const TimeseriesConfig ts_cfg = TimeseriesConfig::fromSim(cfg_);
-    std::unique_ptr<FlightRecorder> recorder;
-    if (ts_cfg.active())
-        recorder = std::make_unique<FlightRecorder>(net, ts_cfg, &meta);
+    FlightRecorder* recorder = nullptr;
+    if (ts_cfg.active()) {
+        recorder = add(std::make_unique<FlightRecorder>(net, ts_cfg, &meta));
+        recorder->setWatchdog(watchdog);
+    }
 
     // Live status line (display-only, rate-limited, off by default).
     std::unique_ptr<RunConsole> console;
@@ -172,25 +195,6 @@ TrafficManager::run()
             static_cast<int>(cfg_.getInt("console_interval_ms")));
     }
 
-    // Observability supervisors: the invariant auditor and the
-    // deadlock/livelock watchdog, both gated on the "audit" key and
-    // both a single null check per cycle when disabled.
-    std::unique_ptr<InvariantAuditor> auditor;
-    std::unique_ptr<Watchdog> watchdog;
-    if (cfg_.getBool("audit")) {
-        InvariantAuditor::Params ap;
-        ap.interval = cfg_.getInt("audit_interval");
-        auditor = std::make_unique<InvariantAuditor>(net, ap);
-
-        Watchdog::Params wp;
-        wp.interval = cfg_.getInt("watchdog_interval");
-        wp.maxHops = static_cast<int>(cfg_.getInt("watchdog_max_hops"));
-        wp.maxAge = cfg_.getInt("watchdog_max_age");
-        watchdog = std::make_unique<Watchdog>(
-            net, hub ? hub->tracer() : nullptr, wp);
-    }
-    if (recorder)
-        recorder->setWatchdog(watchdog.get());
     const bool dump_on_abort = cfg_.getBool("dump_on_abort");
     const std::string dump_path = cfg_.getStr("dump_path");
     std::optional<ScopedSigintFlag> sigint_guard;
@@ -301,6 +305,28 @@ TrafficManager::run()
 
     const char* abort_reason = nullptr;
 
+    // End of run, the same on a clean exit and on a panic.
+    auto finish_observers = [&] {
+        if (console)
+            console->close();
+        stats.cyclesRun = cycle;
+        stats.saturated = !stats.drained;
+        stats.warmupUsed = warmup;
+        for (RunObserver* o : observers)
+            o->finish(cycle, stats);
+    };
+    auto write_dump = [&](std::string reason,
+                          const Watchdog::Report* stall) {
+        StateDumpContext ctx;
+        ctx.cycle = cycle;
+        ctx.reason = std::move(reason);
+        ctx.meta = &meta;
+        ctx.stall = stall;
+        for (const RunObserver* o : observers)
+            o->annotateDump(ctx);
+        return dumpStateToFile(dump_path, net, ctx);
+    };
+
     if (hub)
         hub->beginPhase("warmup", 0);
     if (prof)
@@ -386,27 +412,6 @@ TrafficManager::run()
         }
 
         net.step(cycle);
-        if (heatmap)
-            heatmap->tick(cycle);
-        if (hub)
-            hub->tick(cycle);
-        if (auditor)
-            auditor->tick(cycle);
-        if (watchdog) {
-            watchdog->tick(cycle);
-            if (watchdog->deadlockDetected()) {
-                // A cyclic wait-for dependency never resolves; abort
-                // now so the forensic dump captures the cycle intact.
-                abort_reason = "deadlock";
-                ++cycle;
-                break;
-            }
-        }
-        if (sigint_guard && ScopedSigintFlag::fired()) {
-            abort_reason = "sigint";
-            ++cycle;
-            break;
-        }
 
         // Collect completions.
         const std::uint64_t collect_t0 = prof ? Profiler::nowNs() : 0;
@@ -429,7 +434,6 @@ TrafficManager::run()
                 ++stats.measuredEjected;
                 last_progress_cycle = cycle;
                 stats.latency.add(static_cast<double>(p.latency()));
-                stats.latencyHist.add(static_cast<double>(p.latency()));
                 stats.latencyHdr.add(
                     static_cast<std::uint64_t>(p.latency()));
                 stats.hops.add(static_cast<double>(p.hops));
@@ -440,17 +444,28 @@ TrafficManager::run()
                              Profiler::nowNs() - collect_t0);
         }
 
-        // The recorder ticks after the collect loop so a window close
-        // sees the cycle's ejections in both the latency histogram and
-        // the accepted-flit delta.
-        if (recorder) {
-            recorder->tick(cycle);
-            // warmup=auto: end warmup at the first steady window.
-            if (ts_cfg.warmupAuto && cycle + 1 < warmup
-                && recorder->detector().converged()) {
-                warmup = cycle + 1;
-                hard_limit = warmup + measure + drain_limit;
-            }
+        // Observers tick after the collect loop, so a recorder window
+        // that closes here sees the cycle's ejections in both its
+        // latency histogram and its accepted-flit delta.
+        for (RunObserver* o : observers)
+            o->tick(cycle);
+        if (watchdog && watchdog->deadlockDetected()) {
+            // A cyclic wait-for dependency never resolves; abort now
+            // so the forensic dump captures the cycle intact.
+            abort_reason = "deadlock";
+            ++cycle;
+            break;
+        }
+        if (sigint_guard && ScopedSigintFlag::fired()) {
+            abort_reason = "sigint";
+            ++cycle;
+            break;
+        }
+        // warmup=auto: end warmup at the first steady window.
+        if (recorder && ts_cfg.warmupAuto && cycle + 1 < warmup
+            && recorder->detector().converged()) {
+            warmup = cycle + 1;
+            hard_limit = warmup + measure + drain_limit;
         }
         if (console) {
             const char* phase = cycle < warmup ? "warmup"
@@ -502,14 +517,12 @@ TrafficManager::run()
         // --- Event-horizon fast path (DESIGN.md §16). ---
         // A fully quiescent network cannot change state until an
         // external event: fold every upcoming event cycle into a
-        // horizon and jump the clock there in one step. Periodic
-        // observers are clamped so the jump lands exactly on their
-        // due cycle (a late re-arm would shift their schedule); the
-        // flight recorder and heatmap are instead jump-aware and are
-        // caught up to horizon-1 here, on the frozen pre-landing
-        // state, before the landing cycle steps. The drain-stall
-        // heuristic needs no clamp: idle + generation done implies
-        // fully drained, which already broke out above.
+        // horizon and jump the clock there in one step. Every
+        // observer's due cycle clamps the horizon, and every observer
+        // is then caught up to horizon-1 on the frozen pre-landing
+        // state, before the landing cycle steps (DESIGN.md §20). The
+        // drain-stall heuristic needs no clamp: idle + generation done
+        // implies fully drained, which already broke out above.
         if (skip_ahead) {
             ProfileScope skip_ps(prof, ProfPhase::Skip);
             if (net.idle()) {
@@ -528,93 +541,36 @@ TrafficManager::run()
                 hz.clamp(warmup);
                 hz.clamp(warmup + measure - 1);
                 hz.clamp(warmup + measure);
-                if (auditor)
-                    hz.clamp(auditor->nextDueCycle());
-                if (watchdog)
-                    hz.clamp(watchdog->nextDueCycle());
-                if (hub)
-                    hz.clamp(hub->nextSampleCycle(cycle + 1));
+                for (const RunObserver* o : observers)
+                    hz.clamp(o->nextDueCycle());
                 if (hz.skips()) {
                     const std::int64_t target = hz.cycle();
                     net.skipTo(target);
                     stats.cyclesSkipped += target - (cycle + 1);
-                    if (recorder)
-                        recorder->tick(target - 1);
-                    if (heatmap)
-                        heatmap->tick(target - 1);
+                    for (RunObserver* o : observers)
+                        o->tick(target - 1);
                     cycle = target - 1;
                 }
             }
         }
     }
     } catch (const InvariantError& e) {
-        // A violated runtime invariant: close trace artifacts, write
-        // the forensic dump, and let the error propagate.
-        if (hub)
-            hub->finish(cycle);
-        if (dump_on_abort) {
-            StateDumpContext ctx;
-            ctx.cycle = cycle;
-            ctx.reason = std::string("panic: ") + e.what();
-            ctx.meta = &meta;
-            if (auditor)
-                ctx.violations = &auditor->violations();
-            if (watchdog)
-                ctx.events = &watchdog->events();
-            dumpStateToFile(dump_path, net, ctx);
-        }
+        // A violated runtime invariant: close every observer (each
+        // writes its artifact), write the forensic dump, and let the
+        // error propagate.
+        finish_observers();
+        if (dump_on_abort)
+            write_dump(std::string("panic: ") + e.what(), nullptr);
         throw;
     }
-
-    if (hub)
-        hub->finish(cycle);
-
-    if (console)
-        console->close();
-    stats.cyclesRun = cycle;
-    stats.saturated = !stats.drained;
-    stats.warmupUsed = warmup;
-    if (recorder) {
-        recorder->finish(cycle);
-        stats.steadyStateCycle = recorder->steadyCycle();
-        stats.saturationOnsetCycle = recorder->saturationOnsetCycle();
-        if (ts_cfg.enabled)
-            stats.timeseriesPath = ts_cfg.outPath;
-        // Flag measurement windows that opened before convergence:
-        // their statistics may carry warmup bias.
-        if (cycle > warmup
-            && (stats.steadyStateCycle < 0
-                || stats.steadyStateCycle > warmup)) {
-            stats.measuredBeforeSteady = true;
-            warn("measurement started at cycle "
-                 + std::to_string(warmup)
-                 + " before steady state was "
-                 + (stats.steadyStateCycle < 0
-                        ? std::string("reached")
-                        : "detected (steady at cycle "
-                            + std::to_string(stats.steadyStateCycle)
-                            + ")")
-                 + "; consider warmup=auto or a longer warmup");
-        }
-    }
-    if (auditor)
-        stats.auditViolations = auditor->violationCount();
-    if (watchdog)
-        stats.watchdogEvents =
-            static_cast<std::uint64_t>(watchdog->events().size());
+    finish_observers();
 
     // Classify any non-drained exit, even when the watchdog was off:
     // the one-shot wait-for-graph pass distinguishes a true deadlock
     // from endpoint tree saturation at negligible cost.
     Watchdog::Report stall;
     if (!stats.drained) {
-        if (watchdog) {
-            stall = watchdog->classify(cycle);
-        } else {
-            Watchdog::Params wp;
-            wp.interval = 0;
-            stall = Watchdog(net, nullptr, wp).classify(cycle);
-        }
+        stall = Watchdog(net, nullptr, Watchdog::Params{}).classify(cycle);
         stats.stallClass = Watchdog::stallClassName(stall.stallClass);
     }
 
@@ -624,24 +580,13 @@ TrafficManager::run()
         std::string reason;
         if (abort_reason)
             reason = abort_reason;
-        else if (auditor && !auditor->clean())
+        else if (stats.auditViolations > 0)
             reason = "invariant_violation";
         else if (!stats.drained)
             reason = cycle >= hard_limit ? "hard_limit" : "saturation";
-        if (!reason.empty()) {
-            StateDumpContext ctx;
-            ctx.cycle = cycle;
-            ctx.reason = reason;
-            ctx.meta = &meta;
-            if (auditor)
-                ctx.violations = &auditor->violations();
-            if (!stats.drained)
-                ctx.stall = &stall;
-            if (watchdog)
-                ctx.events = &watchdog->events();
-            if (dumpStateToFile(dump_path, net, ctx))
-                stats.stateDumpPath = dump_path;
-        }
+        if (!reason.empty()
+            && write_dump(reason, stats.drained ? nullptr : &stall))
+            stats.stateDumpPath = dump_path;
     }
     if (measure > 0 && flits_at_measure_end >= flits_at_measure_start) {
         // Normalized per terminal (== per node except on a cmesh), the
@@ -653,26 +598,6 @@ TrafficManager::run()
                * static_cast<double>(measure));
     }
 
-    if (prof) {
-        prof->endRun(cycle);
-        const std::string out = cfg_.getStr("profile_out");
-        const std::string row = prof->toJsonRow(
-            cfg_.getStr("traffic") + "/" + cfg_.getStr("routing"),
-            cfg_.getStr("step_mode"),
-            static_cast<int>(cfg_.getInt("threads")));
-        if (writeProfileDocument(out, &meta, {row}))
-            stats.profilePath = out;
-        else
-            warn("could not write profile document to " + out);
-    }
-    if (heatmap) {
-        heatmap->finish(cycle);
-        if (heatmap->writeTo(hm_cfg.outPath, &meta))
-            stats.heatmapPath = hm_cfg.outPath;
-        else
-            warn("could not write heatmap document to "
-                 + hm_cfg.outPath);
-    }
     return stats;
 }
 

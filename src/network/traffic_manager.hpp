@@ -25,12 +25,10 @@ struct RunStats
 {
     /** Latency of measured packets (background class only). */
     StatAccumulator latency;
-    /** Latency distribution of measured packets (5-cycle bins). */
-    Histogram latencyHist{5.0, 400};
     /**
-     * Log-bucketed latency distribution of measured packets: p99/p999
-     * in bounded memory with <=0.4% relative error, where the linear
-     * histogram above saturates its top bin (see DESIGN.md §14).
+     * Log-bucketed latency distribution of measured packets: every
+     * reported percentile, in bounded memory with <=0.4% relative
+     * error (see DESIGN.md §14).
      */
     HdrHistogram latencyHdr;
     /** Latency of hotspot-class packets (informational). */

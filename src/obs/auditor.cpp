@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "network/network.hpp"
+#include "network/traffic_manager.hpp"
+#include "obs/state_dump.hpp"
 #include "routing/routing.hpp"
 
 namespace footprint {
@@ -296,6 +298,18 @@ InvariantAuditor::checkEscapeLegality(std::int64_t cycle)
             report("escape_legality", node, os.str(), cycle);
         }
     }
+}
+
+void
+InvariantAuditor::finish(std::int64_t, RunStats& stats)
+{
+    stats.auditViolations = violationCount_;
+}
+
+void
+InvariantAuditor::annotateDump(StateDumpContext& ctx) const
+{
+    ctx.violations = &violations_;
 }
 
 } // namespace footprint

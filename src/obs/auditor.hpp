@@ -18,9 +18,10 @@
 #define FOOTPRINT_OBS_AUDITOR_HPP
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
+
+#include "obs/run_observer.hpp"
 
 namespace footprint {
 
@@ -44,7 +45,7 @@ class Network;
  *    dimension-order output port toward their owner destination, the
  *    property Duato-based deadlock freedom relies on.
  */
-class InvariantAuditor
+class InvariantAuditor final : public RunObserver
 {
   public:
     struct Params
@@ -73,7 +74,7 @@ class InvariantAuditor
      * since the previous one; otherwise a single compare.
      */
     void
-    tick(std::int64_t cycle)
+    tick(std::int64_t cycle) override
     {
         if (params_.interval <= 0 || cycle < nextDue_)
             return;
@@ -81,18 +82,22 @@ class InvariantAuditor
     }
 
     /**
-     * Next cycle at which tick() will audit (max() when auditing is
+     * Next cycle at which tick() will audit (kNever when auditing is
      * off). The skip-ahead fast path clamps its horizon here so a
      * jump never overshoots a due audit — re-arming late would shift
      * every subsequent audit cycle.
      */
     std::int64_t
-    nextDueCycle() const
+    nextDueCycle() const override
     {
-        return params_.interval <= 0
-            ? std::numeric_limits<std::int64_t>::max()
-            : nextDue_;
+        return params_.interval <= 0 ? kNever : nextDue_;
     }
+
+    /** Set RunStats::auditViolations. */
+    void finish(std::int64_t cycle, RunStats& stats) override;
+
+    /** Point the dump at the retained violations. */
+    void annotateDump(StateDumpContext& ctx) const override;
 
     /**
      * Run every check immediately (also re-arms the interval).

@@ -4,8 +4,9 @@
 #include <fstream>
 
 #include "network/network.hpp"
-#include "obs/run_metadata.hpp"
+#include "network/traffic_manager.hpp"
 #include "sim/config.hpp"
+#include "sim/log.hpp"
 
 namespace footprint {
 
@@ -31,9 +32,12 @@ HeatmapConfig::fromSim(const SimConfig& cfg)
 }
 
 HeatmapCollector::HeatmapCollector(const Network& net,
-                                   const HeatmapConfig& cfg)
+                                   const HeatmapConfig& cfg,
+                                   const RunMetadata* meta)
     : net_(net), cfg_(cfg)
 {
+    if (meta)
+        meta_ = *meta;
     if (!cfg_.enabled)
         return;
     width_ = net.mesh().width();
@@ -139,6 +143,18 @@ HeatmapCollector::finish(std::int64_t cycle)
     // Close a partial trailing window if it saw any cycles.
     if (cycle > windowStart_)
         closeWindow(cycle);
+}
+
+void
+HeatmapCollector::finish(std::int64_t cycle, RunStats& stats)
+{
+    if (!cfg_.enabled)
+        return;
+    finish(cycle);
+    if (writeTo(cfg_.outPath, meta_ ? &*meta_ : nullptr))
+        stats.heatmapPath = cfg_.outPath;
+    else
+        warn("could not write heatmap document to " + cfg_.outPath);
 }
 
 namespace {

@@ -15,22 +15,24 @@
  *
  * Export is a schema-versioned footprint.heatmap/1 JSON document with
  * a run-metadata header; tools/render_heatmap.py turns it into ASCII
- * or PNG mesh heatmaps and tools/check_profile_schema.py validates it
- * in CI.
+ * or PNG mesh heatmaps and tools/check_schema.py validates it in CI.
  */
 
 #ifndef FOOTPRINT_OBS_HEATMAP_HPP
 #define FOOTPRINT_OBS_HEATMAP_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "obs/run_metadata.hpp"
+#include "obs/run_observer.hpp"
 
 namespace footprint {
 
 class Network;
 class SimConfig;
-struct RunMetadata;
 
 /** Heatmap collection parameters (heatmap_* config keys). */
 struct HeatmapConfig
@@ -73,15 +75,18 @@ struct HeatmapWindow
     std::vector<double> injBacklog;
 };
 
-class HeatmapCollector
+class HeatmapCollector final : public RunObserver
 {
   public:
     /**
      * @param net network to observe; must outlive the collector. The
      *        collector holds per-link sent-count baselines, so attach
      *        before the first observed cycle.
+     * @param meta optional run metadata (copied) that the two-argument
+     *        finish() stamps onto the document it writes.
      */
-    HeatmapCollector(const Network& net, const HeatmapConfig& cfg);
+    HeatmapCollector(const Network& net, const HeatmapConfig& cfg,
+                     const RunMetadata* meta = nullptr);
 
     bool enabled() const { return cfg_.enabled; }
     const HeatmapConfig& config() const { return cfg_; }
@@ -100,7 +105,7 @@ class HeatmapCollector
      * quiescent state the skipped cycles held.
      */
     void
-    tick(std::int64_t cycle)
+    tick(std::int64_t cycle) override
     {
         if (!cfg_.enabled)
             return;
@@ -129,6 +134,9 @@ class HeatmapCollector
     /** Close any partial window at end of run. */
     void finish(std::int64_t cycle);
 
+    /** finish(cycle), then write to config().outPath (heatmapPath). */
+    void finish(std::int64_t cycle, RunStats& stats) override;
+
     const std::vector<HeatmapWindow>& windows() const
     {
         return windows_;
@@ -147,6 +155,7 @@ class HeatmapCollector
 
     const Network& net_;
     HeatmapConfig cfg_;
+    std::optional<RunMetadata> meta_;
     int width_ = 0;
     int height_ = 0;
     int nodes_ = 0;

@@ -4,8 +4,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/run_metadata.hpp"
+#include "network/traffic_manager.hpp"
 #include "obs/sink.hpp"
+#include "sim/log.hpp"
 
 namespace footprint {
 
@@ -86,6 +87,20 @@ appendF(std::string& out, const char* fmt, double v)
 }
 
 } // namespace
+
+void
+Profiler::finish(std::int64_t cycle, RunStats& stats)
+{
+    endRun(cycle);
+    if (!report_)
+        return;
+    const std::string row =
+        toJsonRow(report_->name, report_->mode, report_->threads);
+    if (writeProfileDocument(report_->path, &report_->meta, {row}))
+        stats.profilePath = report_->path;
+    else
+        warn("could not write profile document to " + report_->path);
+}
 
 std::string
 Profiler::toJsonRow(const std::string& name, const std::string& mode,

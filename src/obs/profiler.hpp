@@ -26,14 +26,15 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/hdr_histogram.hpp"
+#include "obs/run_metadata.hpp"
+#include "obs/run_observer.hpp"
 
 namespace footprint {
-
-struct RunMetadata;
 
 /** Wall-time attribution buckets of one simulation cycle. */
 enum class ProfPhase : int {
@@ -50,11 +51,30 @@ enum class ProfPhase : int {
 
 const char* profPhaseName(ProfPhase p);
 
-class Profiler
+class Profiler final : public RunObserver
 {
   public:
     /** A disabled profiler never records; attach points skip it. */
     explicit Profiler(bool enabled = true) : enabled_(enabled) {}
+
+    /** The footprint.profile/1 document finish() writes. */
+    struct Report
+    {
+        std::string path;
+        std::string name;  ///< row name, see toJsonRow
+        std::string mode;
+        int threads = 1;
+        RunMetadata meta;
+    };
+
+    /** Have finish() write @p report (otherwise it only ends the run). */
+    void setReport(Report report) { report_ = std::move(report); }
+
+    /** The profiler times phases itself; nothing to do per cycle. */
+    void tick(std::int64_t) override {}
+
+    /** endRun(cycle), then write the report and set profilePath. */
+    void finish(std::int64_t cycle, RunStats& stats) override;
 
     bool enabled() const { return enabled_; }
 
@@ -192,6 +212,7 @@ class Profiler
     std::vector<ChunkScratch> scratch_;
     HdrHistogram barrierHist_{1ULL << 34};  ///< up to ~17 s waits
     int threads_ = 1;
+    std::optional<Report> report_;
     std::uint64_t runStartNs_ = 0;
     std::uint64_t runNs_ = 0;
     std::int64_t cycles_ = 0;

@@ -16,12 +16,12 @@
 #define FOOTPRINT_OBS_TELEMETRY_HPP
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/packet_tracer.hpp"
+#include "obs/run_observer.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace_event.hpp"
 
@@ -75,7 +75,7 @@ struct PhaseMark
  * beyond a single branch, which is the configuration the overhead
  * micro-benchmarks gate.
  */
-class TelemetryHub
+class TelemetryHub final : public RunObserver
 {
   public:
     /** Disabled hub (no sinks, no tracer, sampling off). */
@@ -114,30 +114,39 @@ class TelemetryHub
      * sampling interval. A single branch when sampling is disabled.
      */
     void
-    tick(std::int64_t cycle)
+    tick(std::int64_t cycle) override
     {
         if (!sampling_)
             return;
+        lastTick_ = cycle;
         if (cycle % cfg_.sampleInterval == 0)
             sampler_.sample(cycle, phase_);
     }
 
     /**
-     * First cycle >= @p from on the sampling grid (max() when
-     * sampling is off). Skip-ahead horizon clamp: a jump lands on the
-     * next sample cycle instead of silently passing it.
+     * First cycle on the sampling grid after the last tick (kNever
+     * when sampling is off): a skip-ahead jump lands on the next
+     * sample cycle instead of silently passing it.
      */
     std::int64_t
-    nextSampleCycle(std::int64_t from) const
+    nextDueCycle() const override
     {
-        if (!sampling_ || cfg_.sampleInterval <= 0)
-            return std::numeric_limits<std::int64_t>::max();
+        if (!sampling_)
+            return kNever;
+        const std::int64_t from = lastTick_ + 1;
         const std::int64_t rem = from % cfg_.sampleInterval;
         return rem == 0 ? from : from + (cfg_.sampleInterval - rem);
     }
 
     /** Final sample (if due), tracer + sink flush, trace close. */
     void finish(std::int64_t cycle);
+
+    /** finish(cycle); the hub fills no RunStats field. */
+    void
+    finish(std::int64_t cycle, RunStats&) override
+    {
+        finish(cycle);
+    }
 
     /**
      * Stamp run metadata onto every artifact this hub writes (sinks,
@@ -178,6 +187,7 @@ class TelemetryHub
     std::unique_ptr<ChromeTraceWriter> chrome_;
     std::string phase_ = "init";
     std::vector<PhaseMark> marks_;
+    std::int64_t lastTick_ = -1;
     bool enabled_ = false;
     bool sampling_ = false;
 };

@@ -4,9 +4,11 @@
 #include <cstdio>
 
 #include "network/network.hpp"
+#include "network/traffic_manager.hpp"
 #include "obs/run_metadata.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/config.hpp"
+#include "sim/log.hpp"
 
 namespace footprint {
 
@@ -243,6 +245,30 @@ FlightRecorder::finish(std::int64_t cycle)
         closeWindow(cycle);
     if (stream_)
         stream_->flush();
+}
+
+void
+FlightRecorder::finish(std::int64_t cycle, RunStats& stats)
+{
+    finish(cycle);
+    stats.steadyStateCycle = steadyCycle();
+    stats.saturationOnsetCycle = saturationOnsetCycle();
+    if (cfg_.enabled)
+        stats.timeseriesPath = cfg_.outPath;
+    // Flag measurement windows that opened before convergence: their
+    // statistics may carry warmup bias.
+    const std::int64_t warmup = stats.warmupUsed;
+    if (cycle > warmup
+        && (stats.steadyStateCycle < 0 || stats.steadyStateCycle > warmup)) {
+        stats.measuredBeforeSteady = true;
+        warn("measurement started at cycle " + std::to_string(warmup)
+             + " before steady state was "
+             + (stats.steadyStateCycle < 0
+                    ? std::string("reached")
+                    : "detected (steady at cycle "
+                        + std::to_string(stats.steadyStateCycle) + ")")
+             + "; consider warmup=auto or a longer warmup");
+    }
 }
 
 std::int64_t

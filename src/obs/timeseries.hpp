@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "obs/hdr_histogram.hpp"
+#include "obs/run_observer.hpp"
 
 namespace footprint {
 
@@ -173,7 +174,7 @@ class SteadyStateDetector
  * call tick() after every Network::step; windows close themselves on
  * their interval boundary and stream out immediately.
  */
-class FlightRecorder
+class FlightRecorder final : public RunObserver
 {
   public:
     /**
@@ -225,7 +226,7 @@ class FlightRecorder
      * ticking through the span cycle by cycle.
      */
     void
-    tick(std::int64_t cycle)
+    tick(std::int64_t cycle) override
     {
         while (cycle + 1 - windowStart_ >= cfg_.interval)
             closeWindow(windowStart_ + cfg_.interval);
@@ -240,6 +241,13 @@ class FlightRecorder
 
     /** Close any partial trailing window and flush the stream. */
     void finish(std::int64_t cycle);
+
+    /**
+     * finish(cycle), then fill the steady-state, saturation-onset and
+     * stream-path fields of @p stats, and warn when the measurement
+     * window (from stats.warmupUsed) opened before steady state.
+     */
+    void finish(std::int64_t cycle, RunStats& stats) override;
 
     const std::vector<WindowRecord>& windows() const
     {

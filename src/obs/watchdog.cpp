@@ -4,7 +4,9 @@
 #include <sstream>
 
 #include "network/network.hpp"
+#include "network/traffic_manager.hpp"
 #include "obs/packet_tracer.hpp"
+#include "obs/state_dump.hpp"
 #include "routing/routing.hpp"
 #include "sim/rng.hpp"
 
@@ -129,17 +131,17 @@ Watchdog::Watchdog(const Network& net, PacketTracer* tracer,
     }
 }
 
-bool
-Watchdog::creditInFlight(int node, int port, int vc) const
+int
+Watchdog::creditsInFlight(int node, int port, int vc) const
 {
     const CreditChannel* chan =
         creditAt_[static_cast<std::size_t>(node * kNumPorts + port)];
     if (!chan)
-        return false;
-    bool found = false;
+        return 0;
+    int found = 0;
     chan->forEachInFlight([&](const Credit& c) {
         if (c.vc == vc)
-            found = true;
+            ++found;
     });
     return found;
 }
@@ -216,8 +218,8 @@ Watchdog::buildGraph(int* blocked_vcs) const
                     // is a chain terminal.
                     if (r.outVcCredits(ivc.outPort, ivc.outVc) == 0
                         && ivc.outPort != portOf(Dir::Local)
-                        && !creditInFlight(node, ivc.outPort,
-                                           ivc.outVc)) {
+                        && creditsInFlight(node, ivc.outPort,
+                                           ivc.outVc) == 0) {
                         const int nbr = r.neighborAt(ivc.outPort);
                         const int opp =
                             portOf(opposite(dirOf(ivc.outPort)));
@@ -236,6 +238,10 @@ Watchdog::buildGraph(int* blocked_vcs) const
 
                     const int buf_size =
                         net_->routerParams().vcBufSize;
+                    // Under atomic reallocation a free output VC is
+                    // grantable once its downstream buffer is empty:
+                    // credits held plus credits already on their way
+                    // back make up the whole buffer.
                     bool grantable = false;
                     for (const VcRequest& req : set.requests()) {
                         for (int ov = 0; ov < num_vcs; ++ov) {
@@ -244,6 +250,8 @@ Watchdog::buildGraph(int* blocked_vcs) const
                             if (!r.outVcBusy(req.port, ov)
                                 && (!atomic
                                     || r.outVcCredits(req.port, ov)
+                                            + creditsInFlight(
+                                                node, req.port, ov)
                                         == buf_size)) {
                                 grantable = true;
                             }
@@ -265,9 +273,10 @@ Watchdog::buildGraph(int* blocked_vcs) const
                                          && r.outVcCredits(req.port,
                                                            ov)
                                              < buf_size
-                                         && !creditInFlight(node,
+                                         && creditsInFlight(node,
                                                             req.port,
-                                                            ov)) {
+                                                            ov)
+                                             == 0) {
                                     // Draining VC: atomic realloc
                                     // waits on the downstream buffer
                                     // emptying.
@@ -402,6 +411,18 @@ Watchdog::check(std::int64_t cycle)
 
     if (params_.maxAge > 0 || params_.maxHops > 0)
         scanForLivelock(cycle);
+}
+
+void
+Watchdog::finish(std::int64_t, RunStats& stats)
+{
+    stats.watchdogEvents = static_cast<std::uint64_t>(events_.size());
+}
+
+void
+Watchdog::annotateDump(StateDumpContext& ctx) const
+{
+    ctx.events = &events_;
 }
 
 } // namespace footprint

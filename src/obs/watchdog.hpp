@@ -25,10 +25,10 @@
 #define FOOTPRINT_OBS_WATCHDOG_HPP
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "obs/run_observer.hpp"
 #include "router/channel.hpp"
 
 namespace footprint {
@@ -88,7 +88,7 @@ class WaitForGraph
 };
 
 /** Progress watchdog over a Network. */
-class Watchdog
+class Watchdog final : public RunObserver
 {
   public:
     struct Params
@@ -138,7 +138,7 @@ class Watchdog
      * bounds are set) the livelock scan.
      */
     void
-    tick(std::int64_t cycle)
+    tick(std::int64_t cycle) override
     {
         if (params_.interval <= 0 || cycle < nextDue_)
             return;
@@ -146,16 +146,20 @@ class Watchdog
     }
 
     /**
-     * Next cycle at which tick() will run a check (max() when the
+     * Next cycle at which tick() will run a check (kNever when the
      * watchdog is off); skip-ahead horizon clamp, as for the auditor.
      */
     std::int64_t
-    nextDueCycle() const
+    nextDueCycle() const override
     {
-        return params_.interval <= 0
-            ? std::numeric_limits<std::int64_t>::max()
-            : nextDue_;
+        return params_.interval <= 0 ? kNever : nextDue_;
     }
+
+    /** Set RunStats::watchdogEvents. */
+    void finish(std::int64_t cycle, RunStats& stats) override;
+
+    /** Point the dump at the recorded events. */
+    void annotateDump(StateDumpContext& ctx) const override;
 
     /**
      * Build the wait-for graph over input VCs and classify the current
@@ -188,11 +192,12 @@ class Watchdog
     WaitForGraph buildGraph(int* blocked_vcs) const;
 
     /**
-     * True when a credit for (node, output port, vc) is in flight on
-     * the link's credit channel: the VC is about to regain a slot, so
-     * an instantaneous credits==0 is pipeline latency, not blockage.
+     * Credits for (node, output port, vc) in flight on the link's
+     * credit channel: slots the VC is about to regain, so an
+     * instantaneous credit shortfall of that size is pipeline latency,
+     * not blockage.
      */
-    bool creditInFlight(int node, int port, int vc) const;
+    int creditsInFlight(int node, int port, int vc) const;
 
     const Network* net_;
     PacketTracer* tracer_;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "sim/log.hpp"
+#include <limits>
 
 namespace footprint {
 
@@ -70,81 +68,6 @@ double
 StatAccumulator::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double bin_width, std::size_t num_bins)
-    : binWidth_(bin_width), bins_(num_bins, 0), overflow_(0), count_(0)
-{
-    FP_ASSERT(bin_width > 0.0, "histogram bin width must be positive");
-    FP_ASSERT(num_bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::reset()
-{
-    std::fill(bins_.begin(), bins_.end(), 0);
-    overflow_ = 0;
-    count_ = 0;
-}
-
-void
-Histogram::add(double sample)
-{
-    ++count_;
-    if (sample < 0.0)
-        sample = 0.0;
-    auto bin = static_cast<std::size_t>(sample / binWidth_);
-    if (bin >= bins_.size())
-        ++overflow_;
-    else
-        ++bins_[bin];
-}
-
-double
-Histogram::percentile(double fraction) const
-{
-    if (count_ == 0)
-        return 0.0;
-    fraction = std::clamp(fraction, 0.0, 1.0);
-    const double target = fraction * static_cast<double>(count_);
-
-    // Walk the cumulative distribution; interpolate linearly inside
-    // the bin the target falls into. fraction 0.0 thus returns the
-    // lower edge of the first non-empty bin and fraction 1.0 the
-    // upper edge of the last non-empty bin.
-    double seen = 0.0;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (bins_[i] == 0)
-            continue;
-        const double next = seen + static_cast<double>(bins_[i]);
-        if (target <= next) {
-            const double lo = static_cast<double>(i) * binWidth_;
-            const double in_bin =
-                (target - seen) / static_cast<double>(bins_[i]);
-            return lo + binWidth_ * in_bin;
-        }
-        seen = next;
-    }
-    // The target falls among overflow samples (clamped past the last
-    // bin), whose values are unknown: report the overflow threshold.
-    return static_cast<double>(bins_.size()) * binWidth_;
-}
-
-std::string
-Histogram::toString() const
-{
-    std::ostringstream oss;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (bins_[i] == 0)
-            continue;
-        oss << binWidth_ * static_cast<double>(i) << "-"
-            << binWidth_ * static_cast<double>(i + 1) << ": " << bins_[i]
-            << "\n";
-    }
-    if (overflow_ > 0)
-        oss << ">=" << binWidth_ * static_cast<double>(bins_.size())
-            << ": " << overflow_ << "\n";
-    return oss.str();
 }
 
 } // namespace footprint

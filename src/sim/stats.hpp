@@ -1,17 +1,14 @@
 /**
  * @file
- * Lightweight statistics primitives used throughout the simulator:
- * scalar accumulators for latency/throughput and fixed-bin histograms
- * for distribution reporting.
+ * Lightweight statistics primitive used throughout the simulator: a
+ * scalar accumulator for latency/throughput. Distributions live in
+ * obs/hdr_histogram.hpp.
  */
 
 #ifndef FOOTPRINT_SIM_STATS_HPP
 #define FOOTPRINT_SIM_STATS_HPP
 
 #include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
 
 namespace footprint {
 
@@ -47,42 +44,6 @@ class StatAccumulator
     double sumSq_;
     double min_;
     double max_;
-};
-
-/**
- * Fixed-width-bin histogram over [0, binWidth * numBins); samples past
- * the last bin are clamped into an overflow bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double bin_width, std::size_t num_bins);
-
-    void reset();
-    void add(double sample);
-
-    std::uint64_t count() const { return count_; }
-    std::size_t numBins() const { return bins_.size(); }
-    std::uint64_t binCount(std::size_t bin) const { return bins_.at(bin); }
-    std::uint64_t overflowCount() const { return overflow_; }
-
-    /**
-     * Value below which @p fraction of samples fall, interpolated
-     * linearly within the containing bin. @p fraction is clamped to
-     * [0, 1]; an empty histogram reports 0 and a fraction landing in
-     * the overflow bin reports the overflow threshold
-     * (binWidth * numBins), the histogram's upper resolution limit.
-     */
-    double percentile(double fraction) const;
-
-    /** Render as "lo-hi: count" lines for reports. */
-    std::string toString() const;
-
-  private:
-    double binWidth_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t overflow_;
-    std::uint64_t count_;
 };
 
 } // namespace footprint

@@ -7,8 +7,8 @@
  * event), injection landing exactly on the horizon, jump-aware window
  * closing in the flight recorder (empty windows, exact boundaries,
  * byte-identical stream records), and full TrafficManager runs —
- * serial and sharded — whose statistics and timeseries bytes must not
- * depend on skip_ahead.
+ * serial and sharded — whose statistics and observer artifacts
+ * (timeseries, heatmap, telemetry CSV) must not depend on skip_ahead.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "network/network.hpp"
@@ -363,43 +364,82 @@ statsFingerprint(const RunStats& s)
             s.hops.mean(),
             s.offeredFlitsPerNodeCycle,
             s.acceptedFlitsPerNodeCycle,
-            s.drained ? 1.0 : 0.0};
+            s.drained ? 1.0 : 0.0,
+            static_cast<double>(s.auditViolations),
+            static_cast<double>(s.watchdogEvents),
+            static_cast<double>(s.steadyStateCycle),
+            static_cast<double>(s.saturationOnsetCycle)};
 }
 
 TEST(SkipAhead, TrafficManagerRunIsInvariantUnderSkipAndTimeseries)
 {
-    // Full end-to-end invariance at the driver level: the measured
-    // statistics AND the streamed timeseries bytes (window boundaries
-    // fall inside jumped spans at this load) must be identical with
-    // skip-ahead on and off; the skip run must actually skip.
-    SimConfig off = lowLoadRunConfig("activity", false);
-    off.setBool("timeseries", true);
-    off.setInt("timeseries_interval", 300);
-    off.set("timeseries_out", "skip_ts_off.jsonl");
-    const RunStats s_off = runExperiment(off);
-
-    SimConfig on = lowLoadRunConfig("activity", true);
-    on.setBool("timeseries", true);
-    on.setInt("timeseries_interval", 300);
-    on.set("timeseries_out", "skip_ts_on.jsonl");
-    const RunStats s_on = runExperiment(on);
-
-    EXPECT_EQ(s_off.cyclesSkipped, 0);
-    EXPECT_GT(s_on.cyclesSkipped, 0);
-    EXPECT_EQ(statsFingerprint(s_off), statsFingerprint(s_on));
-
-    // Drop the header line before comparing: it stamps a hash of the
-    // full config, which differs in the skip_ahead key by design.
-    // Every window record after it must match byte for byte.
-    auto records = [](const std::string& bytes) {
+    // Full end-to-end invariance at the TrafficManager level, with every
+    // file-writing observer on at once (flight recorder, heatmap,
+    // telemetry CSV, auditor + watchdog): the measured statistics AND
+    // every artifact's bytes after its metadata header must be
+    // identical with skip-ahead on and off, in activity and sharded
+    // stepping. Window and sample boundaries fall inside jumped spans
+    // at this load, and the skip runs must actually skip.
+    struct Artifacts
+    {
+        RunStats stats;
+        std::string timeseries;
+        std::string heatmap;
+        std::string telemetry;
+    };
+    // The headers stamp a hash of the full config, which differs in
+    // the skip_ahead / step_mode keys by design: drop the first line
+    // of the line-oriented streams and the meta object of the heatmap.
+    auto after_first_line = [](const std::string& bytes) {
         return bytes.substr(bytes.find('\n') + 1);
     };
-    const std::string bytes_off = slurp("skip_ts_off.jsonl");
-    const std::string bytes_on = slurp("skip_ts_on.jsonl");
-    ASSERT_FALSE(bytes_off.empty());
-    EXPECT_EQ(records(bytes_off), records(bytes_on));
-    std::remove("skip_ts_off.jsonl");
-    std::remove("skip_ts_on.jsonl");
+    auto run = [&](const char* step_mode, bool skip) {
+        const std::string tag =
+            std::string("skip_obs_") + step_mode + (skip ? "_on" : "_off");
+        SimConfig cfg = lowLoadRunConfig(step_mode, skip);
+        cfg.setBool("timeseries", true);
+        cfg.setInt("timeseries_interval", 300);
+        cfg.set("timeseries_out", tag + ".jsonl");
+        cfg.setBool("heatmap", true);
+        cfg.setInt("heatmap_window", 500);
+        cfg.set("heatmap_out", tag + ".heatmap.json");
+        cfg.set("telemetry_out", tag + ".csv");
+        cfg.setInt("sample_interval", 250);
+        cfg.setBool("audit", true);  // enables auditor + watchdog
+        cfg.setInt("audit_interval", 171);
+        cfg.setInt("watchdog_interval", 133);
+        Artifacts a;
+        a.stats = runExperiment(cfg);
+        a.timeseries = slurp(tag + ".jsonl");
+        a.heatmap = slurp(tag + ".heatmap.json");
+        a.telemetry = slurp(tag + ".csv");
+        EXPECT_FALSE(a.timeseries.empty()) << tag;
+        EXPECT_FALSE(a.heatmap.empty()) << tag;
+        EXPECT_FALSE(a.telemetry.empty()) << tag;
+        EXPECT_EQ(a.stats.timeseriesPath, tag + ".jsonl");
+        EXPECT_EQ(a.stats.heatmapPath, tag + ".heatmap.json");
+        a.timeseries = after_first_line(a.timeseries);
+        a.telemetry = after_first_line(a.telemetry);
+        a.heatmap = a.heatmap.substr(a.heatmap.find(",\"mesh\""));
+        std::remove((tag + ".jsonl").c_str());
+        std::remove((tag + ".heatmap.json").c_str());
+        std::remove((tag + ".csv").c_str());
+        return a;
+    };
+
+    const Artifacts ref = run("activity", false);
+    EXPECT_EQ(ref.stats.cyclesSkipped, 0);
+    const std::pair<const char*, bool> variants[] = {
+        {"activity", true}, {"sharded", false}, {"sharded", true}};
+    for (const auto& [mode, skip] : variants) {
+        const Artifacts got = run(mode, skip);
+        SCOPED_TRACE(std::string(mode) + (skip ? " skip" : ""));
+        EXPECT_EQ(got.stats.cyclesSkipped > 0, skip);
+        EXPECT_EQ(statsFingerprint(ref.stats), statsFingerprint(got.stats));
+        EXPECT_EQ(ref.timeseries, got.timeseries);
+        EXPECT_EQ(ref.heatmap, got.heatmap);
+        EXPECT_EQ(ref.telemetry, got.telemetry);
+    }
 }
 
 TEST(SkipAhead, ShardedSkipMatchesFullPerCycleStepping)

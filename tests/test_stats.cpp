@@ -150,134 +150,6 @@ TEST(StatAccumulator, MergeMatchesSingleAccumulator)
     EXPECT_NEAR(lo.variance(), 4.0, 1e-12);
 }
 
-TEST(Histogram, BinsSamplesCorrectly)
-{
-    Histogram h(10.0, 5);
-    h.add(0.0);
-    h.add(9.99);
-    h.add(10.0);
-    h.add(45.0);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 1u);
-    EXPECT_EQ(h.count(), 4u);
-}
-
-TEST(Histogram, OverflowBin)
-{
-    Histogram h(1.0, 4);
-    h.add(100.0);
-    h.add(3.5);
-    EXPECT_EQ(h.overflowCount(), 1u);
-    EXPECT_EQ(h.binCount(3), 1u);
-}
-
-TEST(Histogram, NegativeClampsToFirstBin)
-{
-    Histogram h(1.0, 4);
-    h.add(-5.0);
-    EXPECT_EQ(h.binCount(0), 1u);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(1.0, 4);
-    h.add(2.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.binCount(2), 0u);
-}
-
-TEST(Histogram, PercentileMedian)
-{
-    Histogram h(1.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(static_cast<double>(i) + 0.5);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.percentile(0.99), 99.0, 1.5);
-}
-
-TEST(Histogram, PercentileEmptyIsZero)
-{
-    Histogram h(1.0, 4);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 0.0);
-}
-
-TEST(Histogram, PercentileExtremesHitBinEdges)
-{
-    Histogram h(10.0, 10);
-    h.add(25.0);  // bin 2: [20, 30)
-    h.add(27.0);
-    h.add(44.0);  // bin 4: [40, 50)
-    // fraction 0 -> lower edge of the first non-empty bin.
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 20.0);
-    // fraction 1 -> upper edge of the last non-empty bin.
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 50.0);
-    // Out-of-range fractions clamp.
-    EXPECT_DOUBLE_EQ(h.percentile(-0.5), 20.0);
-    EXPECT_DOUBLE_EQ(h.percentile(2.0), 50.0);
-}
-
-TEST(Histogram, PercentileInterpolatesWithinBin)
-{
-    Histogram h(10.0, 10);
-    for (int i = 0; i < 4; ++i)
-        h.add(15.0);  // all four samples in bin 1: [10, 20)
-    // Quartile targets interpolate across the single occupied bin
-    // instead of reporting its upper edge for every fraction.
-    EXPECT_DOUBLE_EQ(h.percentile(0.25), 12.5);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 15.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.75), 17.5);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 20.0);
-}
-
-TEST(Histogram, PercentileAllOverflowReportsThreshold)
-{
-    Histogram h(1.0, 4);
-    h.add(100.0);
-    h.add(200.0);
-    // Overflow sample values are unknown; every fraction reports the
-    // histogram's upper resolution limit.
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 4.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 4.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-}
-
-TEST(Histogram, PercentileMixedOverflow)
-{
-    Histogram h(1.0, 4);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(9.0);  // overflow
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
-    // Fractions inside the binned range interpolate normally...
-    EXPECT_NEAR(h.percentile(0.5), 1.5, 1e-12);
-    // ...and fractions past the binned samples hit the threshold.
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-}
-
-TEST(Histogram, ToStringListsNonEmptyBins)
-{
-    Histogram h(1.0, 4);
-    h.add(1.5);
-    const std::string s = h.toString();
-    EXPECT_NE(s.find("1-2: 1"), std::string::npos);
-    EXPECT_EQ(s.find("0-1"), std::string::npos);
-}
-
-TEST(Histogram, PercentileP999ResolvesDeepTail)
-{
-    // 1000 distinct samples, one per bin: p999 must land in the last
-    // occupied bin, not collapse into p99's.
-    Histogram h(1.0, 1000);
-    for (int i = 0; i < 1000; ++i)
-        h.add(static_cast<double>(i) + 0.5);
-    EXPECT_NEAR(h.percentile(0.999), 999.0, 1.5);
-    EXPECT_GT(h.percentile(0.999), h.percentile(0.99) + 5.0);
-}
-
 // --- HdrHistogram (log-bucketed tail-latency histogram). ---
 
 /** Exact quantile of a sorted sample set, percentile()'s convention. */
@@ -298,6 +170,41 @@ TEST(HdrHistogram, EmptyIsZero)
     EXPECT_EQ(h.max(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
     EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
+}
+
+TEST(HdrHistogram, PercentileMedian)
+{
+    // One sample per value: each percentile is the sample at its rank.
+    HdrHistogram h;
+    for (std::uint64_t v = 0; v < 100; ++v)
+        h.add(v);
+    EXPECT_DOUBLE_EQ(h.percentile(0.5), 49.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0.99), 98.0);
+}
+
+TEST(HdrHistogram, PercentileP999ResolvesDeepTail)
+{
+    // 1000 distinct samples: p999 must land near the top sample, not
+    // collapse into p99's bucket.
+    HdrHistogram h;
+    for (std::uint64_t v = 0; v < 1000; ++v)
+        h.add(v);
+    EXPECT_NEAR(h.percentile(0.999), 998.0, 4.0);
+    EXPECT_GT(h.percentile(0.999), h.percentile(0.99) + 5.0);
+}
+
+TEST(HdrHistogram, PercentileExtremesAndOutOfRangeFractionsClamp)
+{
+    HdrHistogram h;
+    h.add(std::uint64_t{25});
+    h.add(std::uint64_t{27});
+    h.add(std::uint64_t{44});
+    // fraction 0 -> the smallest sample, fraction 1 -> the largest.
+    EXPECT_DOUBLE_EQ(h.percentile(0.0), 25.0);
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 44.0);
+    // Out-of-range fractions clamp.
+    EXPECT_DOUBLE_EQ(h.percentile(-0.5), 25.0);
+    EXPECT_DOUBLE_EQ(h.percentile(2.0), 44.0);
 }
 
 TEST(HdrHistogram, LinearRegionIsExact)
@@ -395,6 +302,65 @@ TEST(HdrHistogram, ResetClears)
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.max(), 0u);
     EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
+}
+
+// --- Latency-histogram contracts: overflow, clamping, reset and the
+// empty/all-overflow percentile edges, held by HdrHistogram. ---
+
+TEST(Histogram, OverflowBin)
+{
+    HdrHistogram h(1 << 10);
+    h.add(std::uint64_t{1} << 40);  // past max_value
+    h.add(std::uint64_t{3});
+    EXPECT_EQ(h.count(), 2u);
+    EXPECT_EQ(h.overflowCount(), 1u);
+    // The in-range sample keeps its own bucket.
+    EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.0);
+}
+
+TEST(Histogram, NegativeClampsToFirstBin)
+{
+    HdrHistogram h;
+    h.add(-5.0);
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.overflowCount(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 0.0);
+}
+
+TEST(Histogram, ResetClears)
+{
+    HdrHistogram h(1 << 10);
+    h.add(std::uint64_t{2});
+    h.add(std::uint64_t{1} << 40);
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.overflowCount(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 0.0);
+}
+
+TEST(Histogram, PercentileEmptyIsZero)
+{
+    HdrHistogram h;
+    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 0.0);
+}
+
+TEST(Histogram, PercentileAllOverflowReportsThreshold)
+{
+    HdrHistogram h(1 << 10);
+    h.add(std::uint64_t{1} << 40);
+    h.add(std::uint64_t{1} << 41);
+    EXPECT_EQ(h.overflowCount(), 2u);
+    // Overflow sample values are unknown; every fraction reports the
+    // top of the histogram's range.
+    const double top = h.percentile(1.0);
+    EXPECT_GE(top, 1000.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0.0), top);
+    EXPECT_DOUBLE_EQ(h.percentile(0.5), top);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "exec/exec_context.hpp"
 #include "exec/sweep_runner.hpp"
+#include "network/traffic_manager.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
 
@@ -156,6 +157,25 @@ TEST(SweepRun, ProducesSaturationPerCell)
     EXPECT_GT(result.saturation[0].zeroLoadLatency, 0.0);
     EXPECT_GT(result.jobsPerSec, 0.0);
     EXPECT_EQ(result.baseSeed, 7u);
+}
+
+TEST(SweepRun, RowPercentilesComeFromTheHdrHistogram)
+{
+    // A row's p50/p99 are the run's own latencyHdr percentiles, the
+    // same figures the simulate report prints.
+    SweepSpec spec = tinySpec();
+    spec.routings = {"dbar"};
+    spec.seeds = 1;
+    ExecContext ctx(1);
+    const SweepResult result = SweepRunner(ctx).run(spec);
+    const std::vector<SimJob> jobs = SweepRunner::expand(spec);
+    ASSERT_EQ(result.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const RunStats stats = runExperiment(jobs[i].cfg);
+        ASSERT_GT(stats.latencyHdr.count(), 0u);
+        EXPECT_EQ(result.jobs[i].p50, stats.latencyHdr.percentile(0.50));
+        EXPECT_EQ(result.jobs[i].p99, stats.latencyHdr.percentile(0.99));
+    }
 }
 
 TEST(BenchResultsJson, CarriesSchemaAndSections)

@@ -254,5 +254,29 @@ TEST(Watchdog, SaturatedHotspotClassifiesAsTreeSaturation)
     EXPECT_EQ(stats.auditViolations, 0u);
 }
 
+TEST(Watchdog, CreditsInFlightMakeAFreeAtomicVcGrantable)
+{
+    // The Fig. 9 hotspot run under DBAR at this seed ends with a free
+    // output VC short of credits while the missing credits are still
+    // on the return channel. Counted as not grantable, that request
+    // hid a way out of an adaptive wait cycle and the run read as a
+    // 2293-VC "deadlock"; every one of those VCs moves on later.
+    SimConfig cfg = defaultConfig();
+    cfg.setInt("mesh_width", 8);
+    cfg.setInt("mesh_height", 8);
+    cfg.set("routing", "dbar");
+    cfg.set("traffic", "hotspot");
+    cfg.setDouble("injection_rate", 0.45);
+    cfg.setDouble("background_rate", 0.30);
+    cfg.setInt("warmup_cycles", 2500);
+    cfg.setInt("measure_cycles", 2500);
+    cfg.setInt("drain_cycles", 0);
+    cfg.setInt("seed", 1673460072);
+
+    const RunStats stats = runExperiment(cfg);
+    EXPECT_FALSE(stats.drained);
+    EXPECT_EQ(stats.stallClass, "tree_saturation");
+}
+
 } // namespace
 } // namespace footprint
