@@ -13,6 +13,7 @@
  * the engine itself.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -24,6 +25,10 @@ main(int argc, char** argv)
     using namespace footprint::bench;
     setQuiet(true);
     ExecContext ctx(benchJobs(argc, argv));
+    // One thread budget: the 32x32 jobs each step on a crew of
+    // kShardThreads, so they run kShardThreads times fewer at once.
+    constexpr unsigned kShardThreads = 4;
+    ExecContext sharded_ctx(std::max(1u, ctx.jobs() / kShardThreads));
 
     header("Figure 8: DBAR throughput normalized to Footprint, by "
            "mesh size");
@@ -38,7 +43,7 @@ main(int argc, char** argv)
         cfg.setInt("mesh_height", k);
         if (k >= 32) {
             cfg.set("step_mode", "sharded");
-            cfg.setInt("threads", 4);
+            cfg.setInt("threads", kShardThreads);
         }
         return cfg;
     };
@@ -62,8 +67,8 @@ main(int argc, char** argv)
                 SimConfig cfg = sizeConfig(k);
                 cfg.set("traffic", pattern);
                 cfg.set("routing", algo);
-                sat[i++] = saturationFromLadder(
-                    latencyThroughputCurve(cfg, rates, ctx));
+                sat[i++] = saturationFromLadder(latencyThroughputCurve(
+                    cfg, rates, k >= 32 ? sharded_ctx : ctx));
             }
             std::printf("%7dx%-2d %-12s %12.3f %14.3f %17.3f",
                         k, k, pattern, sat[0], sat[1],

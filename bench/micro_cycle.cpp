@@ -78,19 +78,19 @@
 // --- Hot-path heap-allocation counter (DESIGN.md §17). ---
 // The bench replaces global operator new/delete so it can count every
 // heap allocation made while the armed flag is set — i.e. during the
-// steady-state half of a measured stepping loop. The zero-allocation
-// invariant for saturated serial rows is asserted below (nonzero exit
-// on violation) and allocs_per_cycle is reported for every row.
+// steady-state half of a measured stepping loop, on any thread. The
+// zero-allocation invariant for saturated rows, serial and sharded, is
+// asserted below (nonzero exit on violation) and allocs_per_cycle is
+// reported for every row.
 
 namespace {
 std::atomic<bool> g_countAllocs{false};
 std::atomic<std::uint64_t> g_heapAllocs{0};
 /**
  * Debug aid: with FP_ALLOC_TRAP set in the environment, the first
- * counted allocation of a *serial* measured run prints a backtrace
- * and aborts, so a zero-allocation regression pinpoints its caller
- * instead of just failing the gate. (Sharded runs are excluded: the
- * thread pool's task dispatch allocates by design.)
+ * counted allocation of a measured run prints a backtrace and aborts,
+ * so a zero-allocation regression pinpoints its caller instead of
+ * just failing the gate.
  */
 std::atomic<bool> g_trapAllocs{false};
 
@@ -162,10 +162,9 @@ struct OperatingPoint
     /** Also run step_mode=sharded at each kThreadCounts entry. */
     bool threadAxis;
     /**
-     * Past saturation: the serial activity rows (plain and @skip)
-     * must perform zero heap allocations per steady-state cycle.
-     * Sharded rows are reported but not asserted — the thread pool's
-     * task dispatch may allocate outside the simulator proper.
+     * Past saturation: the activity rows (plain and @skip) and the
+     * sharded rows (@tN and @tNskip) must perform zero heap
+     * allocations per steady-state cycle.
      */
     bool saturated;
     /**
@@ -292,8 +291,7 @@ runOne(const std::string& routing, const OperatingPoint& pt,
     bool counting = false;
     std::int64_t count_from = 0;
     std::uint64_t allocs_at_arm = 0;
-    const bool trap = std::getenv("FP_ALLOC_TRAP") != nullptr
-        && std::strcmp(step_mode, "sharded") != 0;
+    const bool trap = std::getenv("FP_ALLOC_TRAP") != nullptr;
 
     const auto t0 = std::chrono::steady_clock::now();
     for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
@@ -476,8 +474,8 @@ makeRow(const OperatingPoint& pt, const char* routing,
 }
 
 /**
- * Enforce the zero-allocation invariant: a saturated serial row must
- * not heap-allocate during its steady-state window.
+ * Enforce the zero-allocation invariant: a saturated row must not
+ * heap-allocate during its steady-state window.
  */
 bool
 checkZeroAllocs(const OperatingPoint& pt, const char* routing,
@@ -709,9 +707,13 @@ run(int argc, char** argv)
                         hex64(full.checksum).c_str());
                     return 1;
                 }
+                const std::string variant =
+                    "@t" + std::to_string(threads);
+                if (!checkZeroAllocs(pt, routing, variant.c_str(),
+                                     sharded))
+                    return 1;
                 rows.push_back(makeRow(
-                    pt, routing,
-                    base + "@t" + std::to_string(threads), "sharded",
+                    pt, routing, base + variant, "sharded",
                     threads, pt_cycles, sharded, full));
                 printRow(rows.back());
             }
@@ -729,11 +731,14 @@ run(int argc, char** argv)
                     hex64(full.checksum).c_str());
                 return 1;
             }
-            rows.push_back(makeRow(
-                pt, routing,
-                base + "@t" + std::to_string(pt.maxThreads) + "skip",
-                "sharded", pt.maxThreads, pt_cycles, sharded_skip,
-                full));
+            const std::string variant =
+                "@t" + std::to_string(pt.maxThreads) + "skip";
+            if (!checkZeroAllocs(pt, routing, variant.c_str(),
+                                 sharded_skip))
+                return 1;
+            rows.push_back(makeRow(pt, routing, base + variant,
+                                   "sharded", pt.maxThreads, pt_cycles,
+                                   sharded_skip, full));
             printRow(rows.back());
         }
     }

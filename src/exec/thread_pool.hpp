@@ -73,13 +73,10 @@ class ThreadPool
      * Exceptions thrown by @p fn are captured per chunk; the first (in
      * chunk order) is rethrown after every chunk has finished.
      *
-     * Chunks are guaranteed to be *concurrently resident* — required
-     * when @p fn synchronizes across chunks with a barrier — only on
-     * an otherwise-idle pool with chunks <= size() + 1. Calls must
-     * not overlap on one pool: the chunk countdown is pool state (it
-     * must outlive the call's stack frame — the last worker's wakeup
-     * notification can land after the caller has already observed
-     * completion and returned).
+     * Calls must not overlap on one pool: the chunk countdown is pool
+     * state (it must outlive the call's stack frame — the last
+     * worker's wakeup notification can land after the caller has
+     * already observed completion and returned).
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t, std::size_t)>& fn,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <system_error>
 
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
@@ -247,12 +248,21 @@ Network::Network(const SimConfig& cfg)
     }
 
     buildWakeGraph();
-    if (stepMode_ == StepMode::Sharded) {
-        const std::string policy = cfg.contains("shard_partition")
-            ? cfg.getStr("shard_partition")
-            : "weighted";
-        buildShards(threads_, shard_cfg, policy);
-    }
+    const bool sharded = stepMode_ == StepMode::Sharded;
+    const std::string policy = cfg.contains("shard_partition")
+        ? cfg.getStr("shard_partition")
+        : "weighted";
+    buildShards(sharded ? threads_ : 1, sharded ? shard_cfg : 1, policy);
+}
+
+Network::~Network()
+{
+    if (crew_.empty())
+        return;
+    crewStop_ = true;
+    barrier_.arriveAndWait();
+    for (std::thread& t : crew_)
+        t.join();
 }
 
 void
@@ -337,12 +347,20 @@ Network::buildShards(int threads, int shards,
         shards_[static_cast<std::size_t>(s)].active.reserve(
             static_cast<std::size_t>(2 * (nodeEnd - nodeBegin)));
     }
-    shardChunks_ = threads < num ? threads : num;
-    barrier_.reset(shardChunks_);
-    // The calling thread is crew member 0; the pool carries the rest.
-    if (shardChunks_ > 1)
-        crew_ = std::make_unique<ThreadPool>(
-            static_cast<unsigned>(shardChunks_ - 1));
+    members_ = threads < num ? threads : num;
+    barrier_.reset(members_);
+    // The calling thread is crew member 0; started last, so nothing
+    // after this can throw with the crew running.
+    crew_.reserve(static_cast<std::size_t>(members_ - 1));
+    try {
+        for (int m = 1; m < members_; ++m)
+            crew_.emplace_back([this, m] { crewLoop(m); });
+    } catch (const std::system_error& e) {
+        // The members already started wait for a barrier that can no
+        // longer fill, so they cannot be joined: exit instead.
+        fatal(std::string("cannot start shard crew thread: ")
+              + e.what());
+    }
 }
 
 void
@@ -373,11 +391,6 @@ Network::buildWakeGraph()
         l.flit->setWakeHook(&active_, flit_dst);
         l.credit->setWakeHook(&active_, flit_src);
     }
-
-    fullOrder_.resize(static_cast<std::size_t>(comps));
-    for (int c = 0; c < comps; ++c)
-        fullOrder_[static_cast<std::size_t>(c)] = c;
-    verifyMark_.assign(static_cast<std::size_t>(comps), 0);
 }
 
 bool
@@ -437,27 +450,6 @@ Network::phaseTransmit(const std::vector<int>& comps,
 }
 
 void
-Network::stepPhases(const std::vector<int>& comps, std::int64_t cycle)
-{
-    // Each phase is a barrier over the whole list, exactly as full
-    // stepping runs them; comps is sorted, so the visit order within a
-    // phase matches full stepping's node order too. Each scope is one
-    // never-taken branch when no profiler is attached.
-    {
-        ProfileScope ps(profiler_, ProfPhase::Drain);
-        phaseReceive(comps, cycle);
-    }
-    {
-        ProfileScope ps(profiler_, ProfPhase::Compute);
-        phaseCompute(comps, cycle);
-    }
-    {
-        ProfileScope ps(profiler_, ProfPhase::Transmit);
-        phaseTransmit(comps, cycle);
-    }
-}
-
-void
 Network::rescheduleAfterStep(const std::vector<int>& comps)
 {
     // Wakes from sends were raised by the channel hooks as they
@@ -473,40 +465,42 @@ Network::rescheduleAfterStep(const std::vector<int>& comps)
 }
 
 void
-Network::stepActivity(std::int64_t cycle, bool contiguous)
+Network::checkWakeups(std::int64_t cycle) const
 {
-    // The first step (and any cycle jump) is a full step: it seeds the
-    // status board and the wake graph from the complete state.
-    if (!contiguous)
-        active_.wakeAll();
-    const std::vector<int>& act = active_.beginCycle();
-    stepPhases(act, cycle);
-    epilogue(act);
-}
-
-void
-Network::epilogue(const std::vector<int>& comps)
-{
-    // Reschedule + descriptor flush/refill, attributed to the
-    // epilogue phase when a profiler is attached.
-    ProfileScope ps(profiler_, ProfPhase::Epilogue);
-    rescheduleAfterStep(comps);
-    finishComps(comps);
+    for (int c = 0; c < active_.size(); ++c) {
+        FP_ASSERT(active_.pending(c) || !componentHasPendingWork(c),
+                  "activity stepping would skip "
+                      << ((c & 1) ? "endpoint " : "router ") << (c >> 1)
+                      << " with pending work at cycle " << cycle
+                      << " (missed wakeup)");
+    }
 }
 
 template <typename Fn>
 void
-Network::runShardPhase(Fn&& fn)
+Network::forMemberShards(int member, Fn&& fn)
 {
     // Phase bodies run inside try/catch so a panicking invariant
     // (FP_ASSERT -> InvariantError) cannot strand the other crew
-    // members at a barrier: the throwing worker records the error,
+    // members at a barrier: the throwing member records the error,
     // everyone keeps arriving at the remaining barriers as no-ops, and
-    // stepSharded rethrows after the join.
+    // step() rethrows after the join.
     if (shardFailed_.load(std::memory_order_relaxed))
         return;
+    Profiler* const prof =
+        stepMode_ == StepMode::Sharded ? profiler_ : nullptr;
+    const std::size_t n = shards_.size();
+    const auto members = static_cast<std::size_t>(members_);
+    const auto m = static_cast<std::size_t>(member);
     try {
-        fn();
+        for (std::size_t s = m * n / members; s < (m + 1) * n / members;
+             ++s) {
+            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
+            fn(shards_[s]);
+            if (prof)
+                prof->addShardBusyNs(static_cast<int>(s),
+                                     Profiler::nowNs() - t0);
+        }
     } catch (...) {
         std::lock_guard<std::mutex> lock(shardErrMutex_);
         if (!shardError_)
@@ -515,120 +509,99 @@ Network::runShardPhase(Fn&& fn)
     }
 }
 
-int
-Network::chunkOf(std::size_t sBegin) const
-{
-    // Recover the parallelFor chunk index from its start shard: chunk
-    // c covers [c*n/chunks, (c+1)*n/chunks), and chunks <= n keeps the
-    // starts strictly increasing, so the match is unique. The loop is
-    // over at most `threads` entries and runs once per worker per
-    // profiled cycle — noise next to the phase work it labels.
-    const std::size_t n = shards_.size();
-    const auto chunks = static_cast<std::size_t>(shardChunks_);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        if (c * n / chunks == sBegin)
-            return static_cast<int>(c);
-    }
-    return 0;
-}
-
 void
-Network::barrierArrive(int chunk)
+Network::barrierArrive(int member, bool timed)
 {
-    if (!profiler_) {
+    if (members_ == 1)
+        return;
+    if (!timed || !profiler_) {
         barrier_.arriveAndWait();
         return;
     }
     const std::uint64_t t0 = Profiler::nowNs();
     barrier_.arriveAndWait();
-    profiler_->recordBarrierWaitNs(chunk, Profiler::nowNs() - t0);
+    profiler_->recordBarrierWaitNs(member, Profiler::nowNs() - t0);
 }
 
 void
-Network::shardWorker(std::size_t sBegin, std::size_t sEnd,
-                     std::int64_t cycle)
+Network::crewLoop(int member)
 {
-    Profiler* const prof = profiler_;
-    const int chunk = prof ? chunkOf(sBegin) : 0;
+    for (;;) {
+        // Parked here between cycles until step() or ~Network arrives.
+        barrier_.arriveAndWait();
+        if (crewStop_)
+            return;
+        runMember(member, crewCycle_);
+    }
+}
+
+void
+Network::runMember(int member, std::int64_t cycle)
+{
+    // Serial modes time whole phases; sharded stepping times each
+    // shard's share and the barrier waits instead (DESIGN.md §14).
+    Profiler* const prof =
+        stepMode_ == StepMode::Sharded ? nullptr : profiler_;
     // Drain + receive share one barrier window: receivePhase only pops
     // channels (it never send()s), so the first wake of this cycle is
     // raised in a compute phase — strictly after the barrier below —
     // and no drain can swallow a cycle-N wake into cycle N's list.
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            Shard& sh = shards_[s];
+    {
+        ProfileScope ps(prof, ProfPhase::Drain);
+        forMemberShards(member, [&](Shard& sh) {
             sh.active.clear();
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
             active_.drainRange(sh.compBegin, sh.compEnd, sh.active);
             phaseReceive(sh.active, cycle);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
-    });
-    barrierArrive(chunk);
+        });
+    }
+    barrierArrive(member, true);
     // Compute reads cycle-N channel/status state and commits sends for
     // cycle N+latency; the barrier above guarantees every receive (and
     // drain) finished first, the one below orders it before transmit's
     // status publishes.
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            phaseCompute(shards_[s].active, cycle);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
-    });
-    barrierArrive(chunk);
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            phaseTransmit(shards_[s].active, cycle);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
-    });
-    barrierArrive(chunk);
+    {
+        ProfileScope ps(prof, ProfPhase::Compute);
+        forMemberShards(member, [&](Shard& sh) {
+            phaseCompute(sh.active, cycle);
+        });
+    }
+    barrierArrive(member, true);
+    {
+        ProfileScope ps(prof, ProfPhase::Transmit);
+        forMemberShards(member, [&](Shard& sh) {
+            phaseTransmit(sh.active, cycle);
+        });
+    }
+    barrierArrive(member, true);
     // Self-sustain wakes read input pipes other shards wrote during
     // transmit, hence the barrier above. Wakes target cycle N+1's
-    // bitmap, which nobody drains until after the join.
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            rescheduleAfterStep(shards_[s].active);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
+    // bitmap, which nobody drains before the next start barrier. The
+    // last barrier is the join; member 0 then runs the serial tail
+    // (inside this scope, which serial modes time as the epilogue).
+    ProfileScope ps(prof, ProfPhase::Epilogue);
+    forMemberShards(member, [&](Shard& sh) {
+        rescheduleAfterStep(sh.active);
     });
+    barrierArrive(member, false);
+    if (member == 0 && !shardFailed_.load(std::memory_order_relaxed))
+        finishStep();
 }
 
 void
-Network::stepSharded(std::int64_t cycle, bool contiguous)
+Network::finishStep()
 {
-    if (!contiguous)
-        active_.wakeAll();
-    shardFailed_.store(false, std::memory_order_relaxed);
-    shardError_ = nullptr;
-    if (shardChunks_ == 1) {
-        shardWorker(0, shards_.size(), cycle);
-    } else {
-        crew_->parallelFor(
-            shards_.size(),
-            [this, cycle](std::size_t b, std::size_t e) {
-                shardWorker(b, e, cycle);
-            },
-            static_cast<std::size_t>(shardChunks_));
-    }
-    if (shardError_)
-        std::rethrow_exception(shardError_);
-    // Serial epilogue, identical to the serial modes' finishComps over
-    // the concatenated (ascending) shard lists: all flushes strictly
-    // before all refills, so free-list contents match serial stepping
-    // slot for slot.
-    ProfileScope ps(profiler_, ProfPhase::Epilogue);
+    // Serial end-of-step epilogue over the concatenated (ascending)
+    // shard lists: return this cycle's deferred descriptor releases in
+    // node order, then top every touched segment back up to >= 1 free
+    // slot so the next cycle's allocations cannot grow a slot array
+    // mid-phase. All flushes come strictly before all refills, so
+    // free-list contents match for every shard count slot for slot.
+    // Components that were not stepped have nothing to flush and a
+    // non-empty free list, so iterating only the stepped lists is
+    // mode-independent.
+    Profiler* const prof =
+        stepMode_ == StepMode::Sharded ? profiler_ : nullptr;
+    ProfileScope ps(prof, ProfPhase::Epilogue);
     for (const Shard& sh : shards_) {
         for (const int c : sh.active) {
             if (c & 1)
@@ -641,54 +614,10 @@ Network::stepSharded(std::int64_t cycle, bool contiguous)
                 pool_.refill(c >> 1);
         }
     }
-    // Workers recorded barrier waits into per-chunk scratch; fold them
-    // into the histogram here, after the join, where no worker races.
-    if (profiler_)
-        profiler_->mergeCycleScratch();
-}
-
-void
-Network::finishComps(const std::vector<int>& comps)
-{
-    // Serial end-of-step epilogue: return this cycle's deferred
-    // descriptor releases in node order, then top every touched
-    // segment back up to >= 1 free slot so the next cycle's
-    // allocations cannot grow a slot array mid-phase. Components that
-    // were not stepped have nothing to flush and a non-empty free
-    // list, so iterating only the stepped list is mode-independent.
-    for (const int c : comps) {
-        if (c & 1)
-            endpoints_[idx(c >> 1)]->flushReleases();
-    }
-    for (const int c : comps) {
-        if (c & 1)
-            pool_.refill(c >> 1);
-    }
-}
-
-void
-Network::stepVerify(std::int64_t cycle, bool contiguous)
-{
-    if (!contiguous)
-        active_.wakeAll();
-    const std::vector<int>& act = active_.beginCycle();
-    for (const int c : act)
-        verifyMark_[static_cast<std::size_t>(c)] = 1;
-    for (const int c : fullOrder_) {
-        if (verifyMark_[static_cast<std::size_t>(c)]) {
-            verifyMark_[static_cast<std::size_t>(c)] = 0;
-            continue;
-        }
-        FP_ASSERT(!componentHasPendingWork(c),
-                  "activity stepping would skip "
-                      << ((c & 1) ? "endpoint " : "router ") << (c >> 1)
-                      << " with pending work at cycle " << cycle
-                      << " (missed wakeup)");
-    }
-    // Step everything; quiescent components are no-ops, so this is
-    // the same cycle the active list would have produced.
-    stepPhases(fullOrder_, cycle);
-    epilogue(fullOrder_);
+    // Members recorded barrier waits into per-member scratch; fold
+    // them into the histogram here, after the join, where none races.
+    if (prof)
+        prof->mergeCycleScratch();
 }
 
 void
@@ -697,36 +626,23 @@ Network::step(std::int64_t cycle)
     const bool contiguous = haveStepped_ && cycle == lastCycle_ + 1;
     lastCycle_ = cycle;
     haveStepped_ = true;
-    switch (stepMode_) {
-    case StepMode::Full: {
-        stepPhases(fullOrder_, cycle);
-        ProfileScope ps(profiler_, ProfPhase::Epilogue);
-        finishComps(fullOrder_);
-        break;
+    if (stepMode_ == StepMode::Verify && contiguous)
+        checkWakeups(cycle);
+    // Full and verify step everything every cycle. So do the first
+    // step and any cycle jump: they seed the status board and the wake
+    // graph from the complete state.
+    if (!contiguous || stepMode_ == StepMode::Full
+        || stepMode_ == StepMode::Verify)
+        active_.wakeAll();
+    shardFailed_.store(false, std::memory_order_relaxed);
+    shardError_ = nullptr;
+    if (members_ > 1) {
+        crewCycle_ = cycle;
+        barrier_.arriveAndWait();
     }
-    case StepMode::Activity:
-        stepActivity(cycle, contiguous);
-        break;
-    case StepMode::Verify:
-        stepVerify(cycle, contiguous);
-        break;
-    case StepMode::Sharded:
-        if (tracerAttached_) {
-            // The packet tracer mutates shared trace state from
-            // router/endpoint hooks *during* phases; keep its event
-            // ordering exact by stepping serially (results are
-            // bit-identical either way).
-            if (!warnedTracerFallback_) {
-                warn("packet tracer attached: sharded stepping falls "
-                     "back to serial activity stepping");
-                warnedTracerFallback_ = true;
-            }
-            stepActivity(cycle, contiguous);
-        } else {
-            stepSharded(cycle, contiguous);
-        }
-        break;
-    }
+    runMember(0, cycle);
+    if (shardError_)
+        std::rethrow_exception(shardError_);
 }
 
 bool
@@ -736,20 +652,11 @@ Network::idle() const
     // hasPendingWork() (router input flit pipes + credit-return
     // pipes; endpoint ejection + credit pipes), so "no component has
     // pending work" implies every channel is empty and every buffer
-    // drained: the network cannot change state on its own.
-    //
-    // In the activity-family modes the pending bitmap already encodes
-    // this (rescheduleAfterStep re-arms any component with pending
-    // work, and sends wake their receivers). Full mode never drains
-    // the bitmap, so it scans components directly — the scan is off
-    // the hot path (it only runs when the driver suspects idleness).
-    if (stepMode_ != StepMode::Full)
-        return active_.pendingEmpty();
-    for (const int c : fullOrder_) {
-        if (componentHasPendingWork(c))
-            return false;
-    }
-    return true;
+    // drained: the network cannot change state on its own. The
+    // pending bitmap already encodes this in every mode:
+    // rescheduleAfterStep re-arms any component with pending work, and
+    // sends wake their receivers.
+    return active_.pendingEmpty();
 }
 
 void
@@ -843,7 +750,8 @@ Network::attachProfiler(Profiler* profiler)
     profiler_ = (profiler && profiler->enabled()) ? profiler : nullptr;
     if (profiler_ && stepMode_ == StepMode::Sharded) {
         profiler_->configureSharded(static_cast<int>(shards_.size()),
-                                    shardChunks_, threads_);
+                                    static_cast<int>(crew_.size()) + 1,
+                                    threads_);
     }
 }
 
@@ -859,7 +767,15 @@ Network::attachTelemetry(TelemetryHub& hub)
             r->setTracer(tracer);
         for (auto& e : endpoints_)
             e->setTracer(tracer);
-        tracerAttached_ = true;
+        // The tracer mutates shared trace state from router/endpoint
+        // hooks *during* phases; keep its event ordering exact by
+        // stepping every shard on the calling thread (results are
+        // bit-identical either way).
+        if (members_ > 1) {
+            warn("packet tracer attached: sharded stepping runs on "
+                 "one thread");
+            members_ = 1;
+        }
     }
     if (!hub.samplingEnabled())
         return;

@@ -13,10 +13,10 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "exec/spin_barrier.hpp"
-#include "exec/thread_pool.hpp"
 #include "sim/active_set.hpp"
 #include "network/endpoint.hpp"
 #include "network/link_fabric.hpp"
@@ -54,12 +54,15 @@ class StatusBoard : public StatusProvider
     std::vector<std::array<int, kNumPorts>> counts_;
 };
 
-/** How Network::step visits components each cycle. */
+/**
+ * Flags of Network::step's one phase path (DESIGN.md §12): every mode
+ * steps the woken components of each shard through the same phases.
+ */
 enum class StepMode {
-    Full,      ///< step every router and endpoint every cycle
-    Activity,  ///< step only components on the active list
-    Verify,    ///< full stepping, cross-checking the active list
-    Sharded,   ///< activity stepping, shards in parallel (bit-identical)
+    Full,      ///< wake every router and endpoint every cycle
+    Activity,  ///< step only woken components, on one thread
+    Verify,    ///< full, asserting no pending component was unwoken
+    Sharded,   ///< activity, shards split over a crew of threads
 };
 
 /**
@@ -70,20 +73,31 @@ enum class StepMode {
  * phase structure makes the simulation independent of iteration order
  * and hence deterministic.
  *
- * Under the default "activity" step mode only components that can do
- * work are visited: a component is woken for cycle t+1 when it still
- * has pending work after cycle t (buffered flits, queued packets, or
- * in-flight pipe entries) or when an active neighbor's outgoing pipe
- * is non-empty. Stepping a quiescent component is observationally a
- * no-op, so results are bit-identical to "full" stepping; the
- * "verify" mode proves it per run by stepping everything while
- * panicking if a component the active list would have skipped reports
- * pending work (see DESIGN.md §12).
+ * Only woken components are visited: a component is woken for cycle
+ * t+1 when it still has pending work after cycle t (buffered flits,
+ * queued packets, or in-flight pipe entries) or when a neighbor sends
+ * into one of its incoming pipes. Stepping a quiescent component is
+ * observationally a no-op, so results are bit-identical to "full"
+ * stepping, which wakes everything every cycle; "verify" does the
+ * same while panicking if a component left unwoken reports pending
+ * work (see DESIGN.md §12).
+ *
+ * Every mode runs one step body over a list of node-band shards (one
+ * shard outside "sharded"). Under "sharded" a crew of `threads`
+ * members steps the shards in parallel: the calling thread is member
+ * 0, and the others are threads that live as long as the Network and
+ * park on the phase barrier between cycles (DESIGN.md §13).
  */
 class Network
 {
   public:
     explicit Network(const SimConfig& cfg);
+    /** Stops and joins the shard crew. */
+    ~Network();
+
+    // The crew holds `this`, so a Network never moves.
+    Network(const Network&) = delete;
+    Network& operator=(const Network&) = delete;
 
     /** Advance the whole network by one cycle. */
     void step(std::int64_t cycle);
@@ -173,7 +187,7 @@ class Network
      */
     void attachProfiler(Profiler* profiler);
 
-    /** Shards built for sharded stepping (0 outside that mode). */
+    /** Node-band shards the step body runs over (1 unless sharded). */
     int shardCount() const
     {
         return static_cast<int>(shards_.size());
@@ -234,18 +248,13 @@ class Network
                       std::int64_t cycle);
     void phaseTransmit(const std::vector<int>& comps,
                        std::int64_t cycle);
-    void stepPhases(const std::vector<int>& comps, std::int64_t cycle);
     void rescheduleAfterStep(const std::vector<int>& comps);
-    void stepActivity(std::int64_t cycle, bool contiguous);
-    void stepVerify(std::int64_t cycle, bool contiguous);
-    void stepSharded(std::int64_t cycle, bool contiguous);
-    void shardWorker(std::size_t sBegin, std::size_t sEnd,
-                     std::int64_t cycle);
-    template <typename Fn> void runShardPhase(Fn&& fn);
-    void finishComps(const std::vector<int>& comps);
-    void epilogue(const std::vector<int>& comps);
-    int chunkOf(std::size_t sBegin) const;
-    void barrierArrive(int chunk);
+    void checkWakeups(std::int64_t cycle) const;
+    void crewLoop(int member);
+    void runMember(int member, std::int64_t cycle);
+    template <typename Fn> void forMemberShards(int member, Fn&& fn);
+    void barrierArrive(int member, bool timed);
+    void finishStep();
 
     Topology topo_;
     RouterParams params_;
@@ -269,15 +278,12 @@ class Network
     ActiveSet active_;
     std::int64_t lastCycle_ = 0;
     bool haveStepped_ = false;
-    std::vector<int> fullOrder_;       ///< all component ids, sorted
-    std::vector<std::uint8_t> verifyMark_;  ///< scratch (verify mode)
 
-    // Sharded stepping state (step_mode=sharded; see DESIGN.md §13).
-    // The mesh is partitioned into spatially contiguous node bands;
-    // each shard owns the routers *and* endpoints of its band, so a
-    // shard id range is a contiguous component id range. Workers step
-    // chunks of shards through barrier-aligned phases; the calling
-    // thread is crew member 0 (crew_ holds the other threads-1).
+    // Shards and the crew that steps them (DESIGN.md §13). The mesh is
+    // partitioned into spatially contiguous node bands; each shard
+    // owns the routers *and* endpoints of its band, so a shard id
+    // range is a contiguous component id range. Crew member m steps
+    // its own contiguous run of shards through barrier-aligned phases.
     struct Shard
     {
         int compBegin = 0;         ///< first component id (inclusive)
@@ -285,19 +291,26 @@ class Network
         std::vector<int> active;   ///< this cycle's drained wake list
     };
 
-    int threads_ = 1;              ///< worker count (config "threads")
-    int shardChunks_ = 1;          ///< min(threads, shards) = parties
+    int threads_ = 1;              ///< config "threads"
+    /** Members per step: the barrier's parties, or 1 with a tracer. */
+    int members_ = 1;
     std::vector<Shard> shards_;
-    std::unique_ptr<ThreadPool> crew_;
     SpinBarrier barrier_;
+    // Written by member 0 before the start-of-cycle barrier.
+    std::int64_t crewCycle_ = 0;
+    bool crewStop_ = false;
     std::exception_ptr shardError_;
     std::mutex shardErrMutex_;
     std::atomic<bool> shardFailed_{false};
-    bool tracerAttached_ = false;
-    bool warnedTracerFallback_ = false;
 
     /** Self-profiler; null (the common case) skips all timing. */
     Profiler* profiler_ = nullptr;
+
+    /**
+     * Members 1.. (member 0 is the thread calling step()). Declared
+     * last: the crew uses every member above.
+     */
+    std::vector<std::thread> crew_;
 };
 
 } // namespace footprint

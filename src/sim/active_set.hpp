@@ -4,9 +4,10 @@
  *
  * Components (routers and endpoints) are identified by a dense integer
  * id. During cycle t anyone may wake() a component for cycle t+1; at
- * the start of cycle t+1 beginCycle() drains the pending set into the
- * cycle's active list, ascending by component id, so activity-driven
- * stepping visits components in exactly the order full stepping does.
+ * the start of cycle t+1 each shard drainRange()s its id range of the
+ * pending set into the cycle's active list, ascending by component
+ * id, so activity-driven stepping visits components in exactly the
+ * order full stepping does.
  * (Within a phase the order is observationally irrelevant — phases are
  * global barriers and channels are latency-gated — but keeping the
  * order identical makes per-component RNG and pool-allocation
@@ -17,10 +18,9 @@
  * commutative OR, which makes the drained bitmap independent of the
  * order wakes land in — the cornerstone of sharded stepping's
  * determinism. Relaxed ordering suffices because every drain is
- * separated from the wakes it collects by a phase barrier or a
- * fork/join edge. On the serial hot path wake() stays cheap via
- * test-and-test-and-set: most wakes re-set an already-set bit and
- * skip the RMW entirely.
+ * separated from the wakes it collects by a phase barrier. On the
+ * serial hot path wake() stays cheap via test-and-test-and-set: most
+ * wakes re-set an already-set bit and skip the RMW entirely.
  *
  * Sharded stepping drains disjoint id ranges concurrently with
  * drainRange(): boundary words shared by two shards are split with
@@ -57,8 +57,6 @@ class ActiveSet
                          std::atomic<std::uint64_t>[nwords_]);
         for (std::size_t i = 0; i < nwords_; ++i)
             words_[i].store(0, std::memory_order_relaxed);
-        active_.clear();
-        active_.reserve(static_cast<std::size_t>(num_components));
     }
 
     int size() const { return n_; }
@@ -89,27 +87,21 @@ class ActiveSet
                 std::memory_order_relaxed);
     }
 
-    /**
-     * Promote the pending set to this cycle's active list (ascending
-     * by id) and start collecting wakes for the next cycle. The
-     * returned reference is valid until the next beginCycle().
-     */
-    const std::vector<int>&
-    beginCycle()
+    /** @return true if @p comp is scheduled for the next cycle. */
+    bool
+    pending(int comp) const
     {
-        active_.clear();
-        drainRange(0, n_, active_);
-        return active_;
+        const std::uint64_t w =
+            words_[static_cast<std::size_t>(comp) >> 6].load(
+                std::memory_order_relaxed);
+        return ((w >> (comp & 63)) & 1) != 0;
     }
-
-    /** The list the last beginCycle() produced (unchanged since). */
-    const std::vector<int>& active() const { return active_; }
 
     /**
      * @return true if no component is scheduled for the next cycle.
      * Relaxed loads are sufficient: callers only consult this from
-     * the serial section between steps, after any shard workers have
-     * joined.
+     * the serial section between steps, after the shard crew's join
+     * barrier.
      */
     bool
     pendingEmpty() const
@@ -171,7 +163,6 @@ class ActiveSet
     std::size_t nwords_ = 0;
     /** Pending bitmap, 64-byte aligned. */
     std::unique_ptr<std::atomic<std::uint64_t>[], AlignedDelete> words_;
-    std::vector<int> active_;  ///< this cycle's list (beginCycle)
 };
 
 } // namespace footprint

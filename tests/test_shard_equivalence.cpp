@@ -7,22 +7,28 @@
  * count, and any shard count, including shard counts that do not
  * divide the mesh and thread counts above the machine's core count.
  * Also checks the shard-boundary mechanics directly: a credit loop
- * that crosses shards must round-trip every credit home.
+ * that crosses shards must round-trip every credit home. The ShardCrew
+ * tests cover the resident crew itself: a member's failed invariant,
+ * the packet-tracer one-member path, and a crew that never steps.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "network/network.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
+#include "obs/telemetry.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
 #include "sim/horizon.hpp"
+#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "traffic/injection.hpp"
 
@@ -35,14 +41,15 @@ namespace {
  * and signature as test_step_equivalence, so all modes are
  * cross-checked against one reference behavior). With @p skip_ahead
  * the driver jumps idle spans via the event-horizon fast path
- * (DESIGN.md §16); the signature must not change.
+ * (DESIGN.md §16); the signature must not change. A non-empty
+ * @p trace_path attaches a packet tracer writing there.
  */
 std::vector<std::uint64_t>
 runSignature(const std::string& routing, double load,
              const char* step_mode, std::int64_t cycles,
              int threads = 1, int shards = 0,
              Profiler* prof = nullptr, bool heatmap = false,
-             bool skip_ahead = false)
+             bool skip_ahead = false, const std::string& trace_path = "")
 {
     SimConfig cfg = defaultConfig();
     cfg.set("routing", routing);
@@ -62,6 +69,14 @@ runSignature(const std::string& routing, double load,
     std::unique_ptr<HeatmapCollector> hm;
     if (heatmap)
         hm = std::make_unique<HeatmapCollector>(net, hm_cfg);
+    std::unique_ptr<TelemetryHub> hub;
+    if (!trace_path.empty()) {
+        TelemetryConfig tc;
+        tc.tracePath = trace_path;
+        tc.tracePackets = 1000000;
+        hub = std::make_unique<TelemetryHub>(tc);
+        net.attachTelemetry(*hub);
+    }
 
     Rng gen(99);
     std::unique_ptr<InjectionSchedule> sched;
@@ -117,6 +132,8 @@ runSignature(const std::string& routing, double load,
     }
     if (prof)
         prof->endRun(cycles);
+    if (hub)
+        hub->finish(cycles);
 
     std::vector<std::uint64_t> sig;
     sig.push_back(net.totalFlitsInjected());
@@ -388,6 +405,84 @@ TEST(ShardEquivalence, CreditRoundTripAcrossShardBoundary)
         EXPECT_EQ(net.router(n).totalOutputCredits(),
                   fresh.router(n).totalOutputCredits())
             << "credits failed to round-trip at router " << n;
+    }
+}
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(ShardCrew, MemberInvariantFailureThrowsAndJoins)
+{
+    // A flit with an out-of-range VC reaches a router in the last
+    // shard, so the FP_ASSERT fires on crew member 3, not on the
+    // thread calling step(). step() must rethrow it after the other
+    // members finish the cycle, and the Network must then destruct
+    // (stopping and joining its crew) without hanging.
+    SimConfig cfg = defaultConfig();
+    cfg.set("step_mode", "sharded");
+    cfg.setInt("threads", 4);
+    auto net = std::make_unique<Network>(cfg);
+    ASSERT_EQ(net->shardCount(), 4);
+    const int last = net->mesh().numNodes() - 1;
+    const Network::LinkRecord* into_last = nullptr;
+    for (const Network::LinkRecord& l : net->links()) {
+        if (l.kind == Network::LinkRecord::Kind::RouterToRouter
+            && l.dstNode == last)
+            into_last = &l;
+    }
+    ASSERT_NE(into_last, nullptr);
+    Flit bad;
+    bad.vc = -1;
+    bad.head = true;
+    bad.tail = true;
+    into_last->flit->send(bad, 0);
+    bool threw = false;
+    for (std::int64_t c = 0; c < 10 && !threw; ++c) {
+        try {
+            net->step(c);
+        } catch (const InvariantError&) {
+            threw = true;
+        }
+    }
+    EXPECT_TRUE(threw);
+    net.reset();
+}
+
+TEST(ShardCrew, TracedShardedRunMatchesActivity)
+{
+    // An attached packet tracer makes a threads=4 sharded network step
+    // every shard on the calling thread: the results, and the trace's
+    // event order, must be exactly those of traced activity stepping.
+    const std::string act_trace = testing::TempDir() + "crew_act.jsonl";
+    const std::string shard_trace =
+        testing::TempDir() + "crew_shard.jsonl";
+    const auto act = runSignature("footprint", 0.20, "activity", 300, 1,
+                                  0, nullptr, false, false, act_trace);
+    const auto sharded =
+        runSignature("footprint", 0.20, "sharded", 300, 4, 0, nullptr,
+                     false, false, shard_trace);
+    EXPECT_EQ(act, sharded);
+    const std::string act_text = readFile(act_trace);
+    EXPECT_FALSE(act_text.empty());
+    EXPECT_EQ(act_text, readFile(shard_trace));
+}
+
+TEST(ShardCrew, UnsteppedNetworkJoinsCleanly)
+{
+    // Construction starts the crew and destruction must stop it even
+    // when no cycle ever released it from its first barrier.
+    SimConfig cfg = defaultConfig();
+    cfg.set("step_mode", "sharded");
+    cfg.setInt("threads", 4);
+    for (int i = 0; i < 3; ++i) {
+        Network net(cfg);
+        EXPECT_EQ(net.shardCount(), 4);
     }
 }
 
