@@ -78,27 +78,6 @@ header(const std::string& title)
 }
 
 /**
- * Estimated saturation throughput from a rate ladder: the highest
- * offered rate whose run is not saturated (latency below
- * 3x zero-load, drained, accepted tracking offered), linearly
- * interpolated toward the first saturated rate.
- */
-inline double
-saturationFromLadder(const std::vector<CurvePoint>& points)
-{
-    double last_good = 0.0;
-    for (const auto& p : points) {
-        if (p.saturated) {
-            // Midpoint between the last good and the first bad rate.
-            return last_good > 0.0 ? (last_good + p.offered) / 2.0
-                                   : p.offered / 2.0;
-        }
-        last_good = p.offered;
-    }
-    return last_good;
-}
-
-/**
  * Wall-clock simulation speed of one run of @p cfg at offered rate
  * @p rate, in simulated cycles per second. CurvePoint carries no
  * timing, so size-scaling benches measure speed with one dedicated

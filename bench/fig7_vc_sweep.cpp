@@ -73,8 +73,7 @@ main(int argc, char** argv)
                 cfg.set("traffic", pattern);
                 cfg.set("routing", algo);
                 cfg.setInt("num_vcs", vcs);
-                sat[i] = saturationFromLadder(
-                    latencyThroughputCurve(cfg, rates, ctx));
+                sat[i] = ladderSaturation(cfg, rates, ctx);
                 // Queueing state just below this cell's saturation.
                 occ[i] = meanRouterOccupancy(cfg, 0.9 * sat[i]);
                 ++i;

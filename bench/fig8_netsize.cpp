@@ -67,8 +67,8 @@ main(int argc, char** argv)
                 SimConfig cfg = sizeConfig(k);
                 cfg.set("traffic", pattern);
                 cfg.set("routing", algo);
-                sat[i++] = saturationFromLadder(latencyThroughputCurve(
-                    cfg, rates, k >= 32 ? sharded_ctx : ctx));
+                sat[i++] = ladderSaturation(
+                    cfg, rates, k >= 32 ? sharded_ctx : ctx);
             }
             std::printf("%7dx%-2d %-12s %12.3f %14.3f %17.3f",
                         k, k, pattern, sat[0], sat[1],

@@ -1,8 +1,8 @@
 /**
  * @file
  * Parallel sweep front end: expand a (rates x routings x meshes x
- * traffics x seeds) grid into independent jobs, run them on a
- * fixed-size thread pool, print per-cell saturation throughput, and
+ * traffics x seeds) grid into independent jobs, run --jobs N of them
+ * at once, print per-cell saturation throughput, and
  * export the schema-versioned footprint.bench/1 artifact the CI
  * benchmark gate consumes.
  *

@@ -106,22 +106,6 @@ isoUtcNow()
     return buf;
 }
 
-/** Ladder interpolation shared with bench::saturationFromLadder. */
-double
-saturationFromPoints(const std::vector<const JobResult*>& ladder)
-{
-    double last_good = 0.0;
-    for (const JobResult* r : ladder) {
-        if (r->point.saturated) {
-            return last_good > 0.0
-                ? (last_good + r->point.offered) / 2.0
-                : r->point.offered / 2.0;
-        }
-        last_good = r->point.offered;
-    }
-    return last_good;
-}
-
 } // namespace
 
 MeshSize
@@ -314,8 +298,7 @@ SweepRunner::run(const SweepSpec& spec)
                        r.replicate}] = r.point.latency;
         }
     }
-    std::map<CellKey, std::vector<std::vector<const JobResult*>>>
-        ladders;
+    std::map<CellKey, std::vector<std::vector<CurvePoint>>> ladders;
     std::map<CellKey, double> zero_load_sum;
     for (JobResult& r : result.jobs) {
         const CellKey key{r.mesh.width, r.mesh.height, r.routing,
@@ -327,11 +310,8 @@ SweepRunner::run(const SweepSpec& spec)
             continue;
         }
         const double zl = zero_load.at({key, r.replicate});
-        if (!r.point.saturated) {
-            r.point.saturated = zl > 0.0
-                && r.point.latency > spec.latencyFactor * zl;
-        }
-        ladders.at(key).back().push_back(&r);
+        r.point.saturated = runSaturated(r.point, zl, spec.latencyFactor);
+        ladders.at(key).back().push_back(r.point);
     }
     for (const auto& [key, replicate_ladders] : ladders) {
         SaturationPoint sp;
@@ -341,7 +321,7 @@ SweepRunner::run(const SweepSpec& spec)
         sp.traffic = std::get<3>(key);
         double sum = 0.0;
         for (const auto& ladder : replicate_ladders)
-            sum += saturationFromPoints(ladder);
+            sum += saturationFromLadder(ladder);
         const auto n =
             static_cast<double>(replicate_ladders.size());
         sp.throughput = sum / n;

@@ -249,10 +249,7 @@ Network::Network(const SimConfig& cfg)
 
     buildWakeGraph();
     const bool sharded = stepMode_ == StepMode::Sharded;
-    const std::string policy = cfg.contains("shard_partition")
-        ? cfg.getStr("shard_partition")
-        : "weighted";
-    buildShards(sharded ? threads_ : 1, sharded ? shard_cfg : 1, policy);
+    buildShards(sharded ? threads_ : 1, sharded ? shard_cfg : 1);
 }
 
 Network::~Network()
@@ -266,8 +263,7 @@ Network::~Network()
 }
 
 void
-Network::buildShards(int threads, int shards,
-                     const std::string& policy)
+Network::buildShards(int threads, int shards)
 {
     const int n = topo_.numNodes();
     int num = shards == 0 ? threads : shards;
@@ -279,51 +275,36 @@ Network::buildShards(int threads, int shards,
     // both the routers and the endpoints of its band: component ids
     // 2k/2k+1 keep each node's pair in one shard.
     //
-    // Band boundaries (shard_partition key; deterministic from config
-    // alone — results are bit-identical either way, only wall time
-    // differs):
-    //  - "nodes":    near-equal node counts (the historic split),
-    //  - "weighted": near-equal per-node work estimates. Edge and
-    //    corner routers have fewer connected ports, hence fewer
-    //    channels to drain and arbitrate; the PR 6 profiler's
-    //    per-shard busy times show interior bands running long under
-    //    equal node counts. The static weight (2 + link degree)
-    //    mirrors that measured imbalance without feeding timing back
-    //    into partition selection.
+    // Band boundaries sit at near-equal per-node work estimates
+    // (deterministic from config alone). Edge and corner routers have
+    // fewer connected ports, hence fewer channels to drain and
+    // arbitrate; the profiler's per-shard busy times show interior
+    // bands running long under equal node counts. The static weight
+    // (2 + link degree) mirrors that measured imbalance without
+    // feeding timing back into partition selection.
     std::vector<int> begin(static_cast<std::size_t>(num) + 1, 0);
     begin[static_cast<std::size_t>(num)] = n;
-    if (policy == "nodes" || num == 1) {
-        for (int s = 1; s < num; ++s)
-            begin[static_cast<std::size_t>(s)] = static_cast<int>(
-                static_cast<std::int64_t>(s) * n / num);
-    } else if (policy == "weighted") {
-        std::vector<std::int64_t> pfx(static_cast<std::size_t>(n) + 1,
-                                      0);
-        for (int node = 0; node < n; ++node) {
-            std::int64_t wgt = 2; // endpoint + router baseline
-            for (Dir d :
-                 {Dir::East, Dir::West, Dir::North, Dir::South}) {
-                if (topo_.hasNeighbor(node, d))
-                    ++wgt;
-            }
-            pfx[static_cast<std::size_t>(node) + 1] =
-                pfx[static_cast<std::size_t>(node)] + wgt;
+    std::vector<std::int64_t> pfx(static_cast<std::size_t>(n) + 1, 0);
+    for (int node = 0; node < n; ++node) {
+        std::int64_t wgt = 2; // endpoint + router baseline
+        for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South}) {
+            if (topo_.hasNeighbor(node, d))
+                ++wgt;
         }
-        const std::int64_t total = pfx[static_cast<std::size_t>(n)];
-        for (int s = 1; s < num; ++s) {
-            const std::int64_t target = s * total / num;
-            // First node whose prefix weight reaches the target,
-            // clamped so every band keeps at least one node.
-            int b = static_cast<int>(
-                std::lower_bound(pfx.begin(), pfx.end(), target)
-                - pfx.begin());
-            b = std::max(b, begin[static_cast<std::size_t>(s - 1)] + 1);
-            b = std::min(b, n - (num - s));
-            begin[static_cast<std::size_t>(s)] = b;
-        }
-    } else {
-        fatal("unknown shard_partition '" + policy
-              + "' (want weighted or nodes)");
+        pfx[static_cast<std::size_t>(node) + 1] =
+            pfx[static_cast<std::size_t>(node)] + wgt;
+    }
+    const std::int64_t total = pfx[static_cast<std::size_t>(n)];
+    for (int s = 1; s < num; ++s) {
+        const std::int64_t target = s * total / num;
+        // First node whose prefix weight reaches the target, clamped
+        // so every band keeps at least one node.
+        int b = static_cast<int>(
+            std::lower_bound(pfx.begin(), pfx.end(), target)
+            - pfx.begin());
+        b = std::max(b, begin[static_cast<std::size_t>(s - 1)] + 1);
+        b = std::min(b, n - (num - s));
+        begin[static_cast<std::size_t>(s)] = b;
     }
     // Round interior boundaries to 32-node multiples — 64 components,
     // exactly one ActiveSet bitmap word — so concurrent drainRange

@@ -239,8 +239,7 @@ class Network
     static int endpointComp(int node) { return 2 * node + 1; }
 
     void buildWakeGraph();
-    void buildShards(int threads, int shards,
-                     const std::string& policy);
+    void buildShards(int threads, int shards);
     bool componentHasPendingWork(int comp) const;
     void phaseReceive(const std::vector<int>& comps,
                       std::int64_t cycle);

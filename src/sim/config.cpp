@@ -31,8 +31,7 @@ constexpr std::array kKnownKeys = {
     "trace_file", "trace_length", "app", "app2",
     // Simulation phases / execution.
     "warmup_cycles", "measure_cycles", "drain_cycles", "seed",
-    "step_mode", "threads", "shards", "shard_partition",
-    "skip_ahead",
+    "step_mode", "threads", "shards", "skip_ahead",
     // Telemetry.
     "telemetry_out", "telemetry_format", "sample_interval",
     "telemetry_per_router", "trace_out", "trace_packets",
@@ -323,10 +322,6 @@ defaultConfig()
     cfg.set("step_mode", "activity");
     cfg.setInt("threads", 1);
     cfg.setInt("shards", 0);
-    // Shard band boundaries: "weighted" sizes bands by per-node link
-    // degree (edge rows are cheaper than interior rows), "nodes" is
-    // the historic equal-node split. Bit-identical either way.
-    cfg.set("shard_partition", "weighted");
     // Event-horizon fast path: jump the clock over quiescent spans
     // (bit-identical results; skip_ahead=false forces per-cycle
     // ticking, mainly for equivalence tests and benchmarks).

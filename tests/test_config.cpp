@@ -293,15 +293,14 @@ TEST(UnknownKeys, AcceptsTopologyAndShardKeys)
 {
     // The topology-layer keys (DESIGN.md §18) must be registered:
     // selecting a topology, concentration, per-dimension link
-    // latencies, or a shard partition policy may not trip the
-    // unknown-key warning.
+    // latencies, or shard keys may not trip the unknown-key warning.
     SimConfig cfg = defaultConfig();
     cfg.set("topology", "torus");
     cfg.set("concentration", "4");
     cfg.set("link_latency_x", "2");
     cfg.set("link_latency_y", "3");
     cfg.set("link_latency_local", "1");
-    cfg.set("shard_partition", "weighted");
+    cfg.set("shards", "8");
     std::ostringstream sink;
     setLogSink(&sink);
     EXPECT_EQ(cfg.warnUnknownKeys(), 0u);
@@ -317,7 +316,6 @@ TEST(DefaultConfig, TopologyDefaultsToUnconcentratedMesh)
     const SimConfig cfg = defaultConfig();
     EXPECT_EQ(cfg.getStr("topology"), "mesh");
     EXPECT_EQ(cfg.getInt("concentration"), 1);
-    EXPECT_EQ(cfg.getStr("shard_partition"), "weighted");
     // The per-dimension overrides are deliberately not defaulted:
     // Topology::fromConfig falls back to link_latency when absent.
     EXPECT_FALSE(cfg.contains("link_latency_x"));
